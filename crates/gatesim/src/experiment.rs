@@ -5,8 +5,7 @@
 //! The entry point is the [`Cell`] builder (mirroring the `Simulator`
 //! builder of `pls-timewarp`): configure optional telemetry recording and
 //! oracle checking, then `run` with a strategy or `run_with` a
-//! precomputed partitioning. The old `run_cell*` free functions remain as
-//! thin deprecated wrappers for one release.
+//! precomputed partitioning.
 
 use pls_logic::{DelayModel, StimulusConfig};
 use pls_netlist::Netlist;
@@ -354,71 +353,6 @@ impl<'a> Cell<'a> {
     }
 }
 
-/// Run one parallel cell: partition the circuit with `strategy` and
-/// simulate it on `nodes` virtual workstations.
-#[deprecated(since = "0.6.0", note = "use `Cell::new(..).nodes(n).seed(s).run(strategy)`")]
-pub fn run_cell(
-    netlist: &Netlist,
-    graph: &CircuitGraph,
-    strategy: &dyn Partitioner,
-    nodes: usize,
-    seed: u64,
-    cfg: &SimConfig,
-) -> RunMetrics {
-    Cell::new(netlist, graph, cfg).nodes(nodes).seed(seed).run(strategy)
-}
-
-/// Like [`run_cell`] but with a pre-computed partitioning.
-#[deprecated(since = "0.6.0", note = "use `Cell::new(..).nodes(n).run_with(partitioning, name)`")]
-pub fn run_cell_with(
-    netlist: &Netlist,
-    graph: &CircuitGraph,
-    partitioning: &Partitioning,
-    strategy_name: &str,
-    nodes: usize,
-    cfg: &SimConfig,
-) -> RunMetrics {
-    Cell::new(netlist, graph, cfg).nodes(nodes).run_with(partitioning, strategy_name)
-}
-
-/// Like [`run_cell_with`], optionally recording a telemetry
-/// [`TimeSeries`] with the given virtual-time bucket width.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `Cell::new(..).record(w).run_with(..)`; the series is in `RunMetrics::telemetry`"
-)]
-pub fn run_cell_recorded(
-    netlist: &Netlist,
-    graph: &CircuitGraph,
-    partitioning: &Partitioning,
-    strategy_name: &str,
-    nodes: usize,
-    cfg: &SimConfig,
-    bucket_width: Option<u64>,
-) -> (RunMetrics, Option<TimeSeries>) {
-    let mut cell = Cell::new(netlist, graph, cfg).nodes(nodes);
-    if let Some(w) = bucket_width {
-        cell = cell.record(w);
-    }
-    let metrics = cell.run_with(partitioning, strategy_name);
-    let telemetry = metrics.telemetry.clone();
-    (metrics, telemetry)
-}
-
-/// Run a parallel cell *and* check its committed history against the
-/// sequential oracle, panicking on divergence.
-#[deprecated(since = "0.6.0", note = "use `Cell::new(..).checked().run(strategy)`")]
-pub fn run_cell_checked(
-    netlist: &Netlist,
-    graph: &CircuitGraph,
-    strategy: &dyn Partitioner,
-    nodes: usize,
-    seed: u64,
-    cfg: &SimConfig,
-) -> RunMetrics {
-    Cell::new(netlist, graph, cfg).nodes(nodes).seed(seed).checked().run(strategy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,16 +476,5 @@ mod tests {
         let m = Cell::new(&netlist, &graph, &cfg).run(&RandomPartitioner);
         assert!(m.out_of_memory);
         assert!(m.exec_time_s.is_nan());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_work() {
-        let netlist = IscasSynth::small(100, 2).build();
-        let graph = CircuitGraph::from_netlist(&netlist);
-        let cfg = small_cfg();
-        let a = run_cell(&netlist, &graph, &RandomPartitioner, 2, 0, &cfg);
-        let b = Cell::new(&netlist, &graph, &cfg).nodes(2).run(&RandomPartitioner);
-        assert_eq!(a, b);
     }
 }

@@ -44,8 +44,6 @@ pub mod vcd;
 pub use activity::{activity_weighted_graph, ActivityProfile};
 pub use compiled::{BlockState, CompileOptions, CompiledSim};
 pub use experiment::{fingerprint, run_seq_baseline, Cell, RunMetrics, SeqMetrics, SimConfig};
-#[allow(deprecated)]
-pub use experiment::{run_cell, run_cell_checked, run_cell_recorded, run_cell_with};
 pub use gatelp::{GateMsg, GateSim, GateState};
 pub use model::{ExecModel, GateModel, GateSimBuilder, ModelState, UnknownExecModel};
 pub use vcd::{write_vcd, WaveRecorder, Waveform};

@@ -123,6 +123,15 @@ impl FaultPlan {
         self
     }
 
+    /// Reject a plan whose scripted scenarios target a node outside
+    /// `0..nodes`.
+    pub fn check_nodes(&self, nodes: usize) -> Result<(), String> {
+        match self.scenarios.iter().find(|s| s.node as usize >= nodes) {
+            Some(s) => Err(format!("fault targets node {} but only {nodes} nodes exist", s.node)),
+            None => Ok(()),
+        }
+    }
+
     /// Parse a CLI fault spec: comma-separated clauses, each
     ///
     /// ```text

@@ -133,8 +133,7 @@ pub(crate) struct ChaosRuntime<M> {
 
 impl<M: Clone> ChaosRuntime<M> {
     pub fn new(plan: &FaultPlan, nodes: usize, ack_latency_ns: u64) -> ChaosRuntime<M> {
-        let mut scenarios: Vec<FaultScenario> =
-            plan.scenarios.iter().filter(|s| (s.node as usize) < nodes).copied().collect();
+        let mut scenarios = plan.scenarios.clone();
         for k in 0..plan.random_scenarios as u64 {
             scenarios.push(sample_scenario(plan.seed, k, nodes));
         }

@@ -189,8 +189,9 @@ impl LoadBalancer for GreedyBalancer {
     }
 }
 
-/// Executive-side bookkeeping: turns cumulative [`LpCounters`] into
-/// per-window deltas and accumulates remote traffic between rounds.
+/// Executive-side bookkeeping: turns the cumulative [`LpCounters`] of the
+/// executive's counter fold into per-window deltas and accumulates remote
+/// traffic between rounds.
 ///
 /// Traffic is logged as one appended pair per message and aggregated only
 /// when the window closes: `record_comm` sits on the hot send path, so it
@@ -234,18 +235,6 @@ impl WindowTracker {
         }
         self.comm_log.clear();
         comm
-    }
-
-    /// The cumulative snapshot for `lp` (travels with a migrating LP on the
-    /// threaded executive, so the receiving cluster's next diff stays
-    /// correct).
-    pub(crate) fn snapshot(&self, lp: LpId) -> LpCounters {
-        self.prev[lp as usize]
-    }
-
-    /// Install a snapshot received with a migrating LP.
-    pub(crate) fn install(&mut self, lp: LpId, snap: LpCounters) {
-        self.prev[lp as usize] = snap;
     }
 }
 
@@ -331,7 +320,7 @@ mod tests {
     }
 
     #[test]
-    fn tracker_diffs_and_carries_snapshots() {
+    fn tracker_diffs_cumulative_counters() {
         let mut t = WindowTracker::new(2);
         let c1 = LpCounters { events_processed: 10, rollbacks: 1, events_rolled_back: 3 };
         assert_eq!(
@@ -342,15 +331,6 @@ mod tests {
         assert_eq!(
             t.diff(0, c2),
             LpWindow { events: 15, rollbacks: 0, events_rolled_back: 0, fault_penalty: 0 }
-        );
-        // Snapshot travels to another tracker (threaded migration).
-        let snap = t.snapshot(0);
-        let mut t2 = WindowTracker::new(2);
-        t2.install(0, snap);
-        let c3 = LpCounters { events_processed: 30, rollbacks: 2, events_rolled_back: 4 };
-        assert_eq!(
-            t2.diff(0, c3),
-            LpWindow { events: 5, rollbacks: 1, events_rolled_back: 1, fault_penalty: 0 }
         );
     }
 

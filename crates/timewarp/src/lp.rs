@@ -12,7 +12,6 @@ use crate::config::{Cancellation, KernelConfig};
 use crate::event::{AntiEvent, Event, EventId, LpId, Transmission};
 use crate::pool::{EventPool, IdHashMap, Loc, Slot};
 use crate::probe::{Probe, RollbackKind};
-use crate::stats::{KernelStats, LpCounters};
 use crate::time::VTime;
 
 /// A checkpoint of LP state.
@@ -72,8 +71,6 @@ pub struct LpRuntime<A: Application> {
     orphan_antis: Vec<AntiEvent>,
     batches_since_checkpoint: u32,
     cfg: KernelConfig,
-    /// This LP's own counters (aggregates live in [`KernelStats`]).
-    own: LpCounters,
     /// Scratch buffers reused across `execute_next`/`rollback_to` calls so
     /// the steady-state hot path performs no allocation.
     batch: Vec<Event<A::Msg>>,
@@ -113,7 +110,6 @@ impl<A: Application> LpRuntime<A> {
             orphan_antis: Vec::new(),
             batches_since_checkpoint: 0,
             cfg: cfg.normalized(),
-            own: LpCounters::default(),
             batch: Vec::new(),
             msgs: Vec::new(),
             sink_buf: Vec::new(),
@@ -173,11 +169,6 @@ impl<A: Application> LpRuntime<A> {
     /// Total unprocessed events currently queued.
     pub fn pending_len(&self) -> usize {
         self.pool.len()
-    }
-
-    /// This LP's own counters (hotspot analysis).
-    pub fn own_stats(&self) -> LpCounters {
-        self.own
     }
 
     /// Held lazy cancellations not yet resolved (diagnostics; must be zero
@@ -259,13 +250,12 @@ impl<A: Application> LpRuntime<A> {
         &mut self,
         app: &A,
         tx: Transmission<A::Msg>,
-        stats: &mut KernelStats,
         outbox: &mut Vec<Transmission<A::Msg>>,
         probe: &mut P,
     ) {
         match tx {
-            Transmission::Positive(ev) => self.receive_positive(app, ev, stats, outbox, probe),
-            Transmission::Anti(anti) => self.receive_anti(app, anti, stats, outbox, probe),
+            Transmission::Positive(ev) => self.receive_positive(app, ev, outbox, probe),
+            Transmission::Anti(anti) => self.receive_anti(app, anti, outbox, probe),
         }
     }
 
@@ -273,7 +263,6 @@ impl<A: Application> LpRuntime<A> {
         &mut self,
         app: &A,
         ev: Event<A::Msg>,
-        stats: &mut KernelStats,
         outbox: &mut Vec<Transmission<A::Msg>>,
         probe: &mut P,
     ) {
@@ -289,26 +278,22 @@ impl<A: Application> LpRuntime<A> {
             if let Some(moved_id) = self.orphan_antis.get(pos as usize).map(|a| a.id) {
                 self.index.insert(moved_id, Loc::OrphanAnti(pos));
             }
-            stats.annihilated_pending += 1;
             probe.annihilated(self.id, ev.recv_time);
-            self.flush_lazy(self.next_time(), stats, outbox, probe);
+            self.flush_lazy(self.next_time(), outbox, probe);
             return;
         }
         if ev.recv_time <= self.lvt {
             // Straggler: roll back to just before its receive time.
-            stats.primary_rollbacks += 1;
-            self.own.rollbacks += 1;
-            self.rollback_to(app, ev.recv_time, RollbackKind::Primary, stats, outbox, probe);
+            self.rollback_to(app, ev.recv_time, RollbackKind::Primary, outbox, probe);
         }
         self.pending_insert(ev);
-        self.flush_lazy(self.next_time(), stats, outbox, probe);
+        self.flush_lazy(self.next_time(), outbox, probe);
     }
 
     fn receive_anti<P: Probe>(
         &mut self,
         app: &A,
         anti: AntiEvent,
-        stats: &mut KernelStats,
         outbox: &mut Vec<Transmission<A::Msg>>,
         probe: &mut P,
     ) {
@@ -321,26 +306,16 @@ impl<A: Application> LpRuntime<A> {
             Some(Loc::Pending(_)) => {
                 let removed = self.remove_pending(anti.id);
                 debug_assert!(removed.is_some_and(|e| e.recv_time == anti.recv_time));
-                stats.annihilated_pending += 1;
                 probe.annihilated(self.id, anti.recv_time);
                 // Removing the pending event may raise the earliest possible
                 // batch time; held cancellations below it must go out now.
-                self.flush_lazy(self.next_time(), stats, outbox, probe);
+                self.flush_lazy(self.next_time(), outbox, probe);
             }
             Some(Loc::Processed) => {
                 // The positive is already executed: cancellation requires a
                 // rollback to its receive time first.
                 debug_assert!(anti.recv_time <= self.lvt, "processed events sit at or below LVT");
-                stats.secondary_rollbacks += 1;
-                self.own.rollbacks += 1;
-                self.rollback_to(
-                    app,
-                    anti.recv_time,
-                    RollbackKind::Secondary,
-                    stats,
-                    outbox,
-                    probe,
-                );
+                self.rollback_to(app, anti.recv_time, RollbackKind::Secondary, outbox, probe);
                 // The rollback re-files the positive as pending. A miss here
                 // means the queues are corrupt, and limping on would
                 // re-execute a cancelled event — fail hard in release too.
@@ -350,12 +325,11 @@ impl<A: Application> LpRuntime<A> {
                     "annihilation target {:?} missing from pending after secondary rollback",
                     anti.id
                 );
-                stats.annihilated_pending += 1;
                 probe.annihilated(self.id, anti.recv_time);
                 // Annihilation may have emptied the queue (or moved next_time
                 // past held cancellations): close the regeneration window so
                 // the LP cannot park with unsent anti-messages.
-                self.flush_lazy(self.next_time(), stats, outbox, probe);
+                self.flush_lazy(self.next_time(), outbox, probe);
             }
             Some(Loc::OrphanAnti(_)) => {
                 // A second anti for the same id cannot occur on reliable
@@ -381,7 +355,6 @@ impl<A: Application> LpRuntime<A> {
     fn flush_lazy<P: Probe>(
         &mut self,
         bound: VTime,
-        stats: &mut KernelStats,
         outbox: &mut Vec<Transmission<A::Msg>>,
         probe: &mut P,
     ) {
@@ -397,7 +370,6 @@ impl<A: Application> LpRuntime<A> {
             };
             self.cancel_key_dec(dst, recv);
             let e = &self.pending_cancel[i];
-            stats.antis_sent += 1;
             probe.anti_sent(self.id, e.send_time);
             if traced {
                 eprintln!(
@@ -416,7 +388,6 @@ impl<A: Application> LpRuntime<A> {
     pub fn execute_next<P: Probe>(
         &mut self,
         app: &A,
-        stats: &mut KernelStats,
         outbox: &mut Vec<Transmission<A::Msg>>,
         probe: &mut P,
     ) {
@@ -446,16 +417,10 @@ impl<A: Application> LpRuntime<A> {
         let mut sink = EventSink::with_buffer(now, std::mem::take(&mut self.sink_buf));
         app.execute(self.id, &mut self.state, now, &self.msgs, &mut sink);
 
-        stats.batches_executed += 1;
-        stats.events_processed += self.batch.len() as u64;
-        self.own.events_processed += self.batch.len() as u64;
         probe.batch_executed(self.id, now, self.batch.len() as u64);
         let work = sink.take_work();
         if work != crate::app::AppWork::default() {
-            stats.block_activations += work.activations;
-            stats.ops_executed += work.ops;
-            stats.messages_saved += work.saved;
-            probe.app_work(self.id, now, work.activations, work.ops);
+            probe.app_work(self.id, now, work.activations, work.ops, work.saved);
         }
         self.lvt = now;
         self.processed.append(&mut self.batch);
@@ -512,7 +477,7 @@ impl<A: Application> LpRuntime<A> {
         // Lazy cancellation flush: anything below the next possible batch
         // time can no longer be regenerated — send those antis now. (When
         // the queue just drained, that is *everything* still held.)
-        self.flush_lazy(self.next_time(), stats, outbox, probe);
+        self.flush_lazy(self.next_time(), outbox, probe);
 
         // Checkpoint policy.
         self.batches_since_checkpoint += 1;
@@ -523,7 +488,6 @@ impl<A: Application> LpRuntime<A> {
                 state: self.state.clone(),
             });
             self.batches_since_checkpoint = 0;
-            stats.states_saved += 1;
             probe.state_saved(self.id, now);
         }
     }
@@ -537,7 +501,6 @@ impl<A: Application> LpRuntime<A> {
         app: &A,
         to: VTime,
         kind: RollbackKind,
-        stats: &mut KernelStats,
         outbox: &mut Vec<Transmission<A::Msg>>,
         probe: &mut P,
     ) {
@@ -548,8 +511,6 @@ impl<A: Application> LpRuntime<A> {
         // 1. Unprocess events at recv_time >= to.
         let cut = self.processed.partition_point(|e| e.recv_time < to);
         let undone = (self.processed.len() - cut) as u64;
-        stats.events_rolled_back += undone;
-        self.own.events_rolled_back += undone;
         while self.processed.len() > cut {
             let ev = self.processed.pop().expect("length checked");
             self.pending_insert(ev);
@@ -573,7 +534,6 @@ impl<A: Application> LpRuntime<A> {
         match self.cfg.cancellation {
             Cancellation::Aggressive => {
                 for e in &self.outputs[ocut..] {
-                    stats.antis_sent += 1;
                     probe.anti_sent(self.id, e.send_time);
                     outbox.push(Transmission::Anti(e.anti()));
                 }
@@ -594,7 +554,6 @@ impl<A: Application> LpRuntime<A> {
         // 4. Coast-forward: silently re-execute the retained events between
         //    the checkpoint and `to` to rebuild the pre-straggler state.
         let coasted = (self.processed.len() - replay_from) as u64;
-        stats.events_coasted += coasted;
         let mut sink = EventSink::with_buffer(VTime::ZERO, std::mem::take(&mut self.sink_buf));
         let mut i = replay_from;
         while i < self.processed.len() {
@@ -622,7 +581,7 @@ impl<A: Application> LpRuntime<A> {
     /// Commit everything strictly below `gvt` and reclaim its memory
     /// (Jefferson's fossil collection). With `gvt == VTime::INF` the run is
     /// over and everything commits.
-    pub fn fossil_collect<P: Probe>(&mut self, gvt: VTime, stats: &mut KernelStats, probe: &mut P) {
+    pub fn fossil_collect<P: Probe>(&mut self, gvt: VTime, probe: &mut P) {
         // Newest checkpoint strictly below GVT becomes the new floor.
         let si = self
             .states
@@ -658,7 +617,6 @@ impl<A: Application> LpRuntime<A> {
                 "cancel-key filter must drain with pending_cancel"
             );
         }
-        stats.events_committed += committed;
         if committed > 0 {
             probe.fossil_collected(self.id, gvt, committed);
         }
@@ -668,7 +626,7 @@ impl<A: Application> LpRuntime<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::NoProbe;
+    use crate::stats::StatsFold;
 
     /// A toy accumulator model: each LP's state is a running sum; a message
     /// carries a u64 that is added; each execution forwards `value + 1` to
@@ -710,13 +668,13 @@ mod tests {
         }
     }
 
-    fn setup(app: &Accum) -> (Vec<LpRuntime<Accum>>, KernelStats, Vec<Transmission<u64>>) {
+    fn setup(app: &Accum) -> (Vec<LpRuntime<Accum>>, StatsFold, Vec<Transmission<u64>>) {
         let mut init = Vec::new();
         let lps: Vec<LpRuntime<Accum>> = (0..app.n as LpId)
             .map(|i| LpRuntime::new(app, i, KernelConfig::default(), &mut init))
             .collect();
         let outbox: Vec<Transmission<u64>> = init.into_iter().map(Transmission::Positive).collect();
-        (lps, KernelStats::default(), outbox)
+        (lps, StatsFold::new(app.n), outbox)
     }
 
     /// Drive the toy model sequentially (always lowest timestamp first) —
@@ -724,12 +682,12 @@ mod tests {
     #[test]
     fn in_order_execution_never_rolls_back() {
         let app = Accum { n: 3, bound: 10 };
-        let (mut lps, mut stats, mut outbox) = setup(&app);
+        let (mut lps, mut fold, mut outbox) = setup(&app);
         loop {
             // Deliver everything.
             for tx in std::mem::take(&mut outbox) {
                 let dst = tx.dst() as usize;
-                lps[dst].receive(&app, tx, &mut stats, &mut outbox, &mut NoProbe);
+                lps[dst].receive(&app, tx, &mut outbox, &mut fold);
             }
             // Execute globally-lowest next event.
             let Some(best) = (0..lps.len())
@@ -738,10 +696,10 @@ mod tests {
             else {
                 break;
             };
-            lps[best].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+            lps[best].execute_next(&app, &mut outbox, &mut fold);
         }
-        assert_eq!(stats.rollbacks(), 0);
-        assert_eq!(stats.events_processed, 10);
+        assert_eq!(fold.stats.rollbacks(), 0);
+        assert_eq!(fold.stats.events_processed, 10);
         let total: u64 = lps.iter().map(|l| l.state()).sum();
         assert_eq!(total, (1..=10).sum::<u64>());
     }
@@ -751,7 +709,7 @@ mod tests {
     #[test]
     fn straggler_triggers_rollback_and_repair() {
         let app = Accum { n: 2, bound: 0 }; // no forwarding, pure accumulate
-        let (mut lps, mut stats, mut outbox) = setup(&app);
+        let (mut lps, mut fold, mut outbox) = setup(&app);
         outbox.clear(); // drop init (bound=0 ⇒ LP0's seed just adds 1 locally)
 
         // Hand-craft two events for LP1 at t=5 and t=3 from a fake src 0.
@@ -769,27 +727,21 @@ mod tests {
             recv_time: VTime(3),
             msg: 7,
         };
-        lps[1].receive(&app, Transmission::Positive(e_late), &mut stats, &mut outbox, &mut NoProbe);
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+        lps[1].receive(&app, Transmission::Positive(e_late), &mut outbox, &mut fold);
+        lps[1].execute_next(&app, &mut outbox, &mut fold);
         assert_eq!(*lps[1].state(), 50);
         assert_eq!(lps[1].lvt(), VTime(5));
 
         // Straggler at t=3.
-        lps[1].receive(
-            &app,
-            Transmission::Positive(e_early),
-            &mut stats,
-            &mut outbox,
-            &mut NoProbe,
-        );
-        assert_eq!(stats.primary_rollbacks, 1);
-        assert_eq!(stats.events_rolled_back, 1);
+        lps[1].receive(&app, Transmission::Positive(e_early), &mut outbox, &mut fold);
+        assert_eq!(fold.stats.primary_rollbacks, 1);
+        assert_eq!(fold.stats.events_rolled_back, 1);
         assert_eq!(*lps[1].state(), 0, "state restored to before t=5");
 
         // Re-execute both in order.
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+        lps[1].execute_next(&app, &mut outbox, &mut fold);
         assert_eq!(*lps[1].state(), 7);
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+        lps[1].execute_next(&app, &mut outbox, &mut fold);
         assert_eq!(*lps[1].state(), 57);
     }
 
@@ -797,7 +749,7 @@ mod tests {
     #[test]
     fn anti_annihilates_pending() {
         let app = Accum { n: 2, bound: 0 };
-        let (mut lps, mut stats, mut outbox) = setup(&app);
+        let (mut lps, mut fold, mut outbox) = setup(&app);
         outbox.clear();
         let ev = Event {
             id: EventId { src: 0, seq: 7 },
@@ -806,16 +758,10 @@ mod tests {
             recv_time: VTime(4),
             msg: 9,
         };
-        lps[1].receive(
-            &app,
-            Transmission::Positive(ev.clone()),
-            &mut stats,
-            &mut outbox,
-            &mut NoProbe,
-        );
-        lps[1].receive(&app, Transmission::Anti(ev.anti()), &mut stats, &mut outbox, &mut NoProbe);
-        assert_eq!(stats.annihilated_pending, 1);
-        assert_eq!(stats.rollbacks(), 0);
+        lps[1].receive(&app, Transmission::Positive(ev.clone()), &mut outbox, &mut fold);
+        lps[1].receive(&app, Transmission::Anti(ev.anti()), &mut outbox, &mut fold);
+        assert_eq!(fold.stats.annihilated_pending, 1);
+        assert_eq!(fold.stats.rollbacks(), 0);
         assert!(lps[1].next_time().is_inf());
     }
 
@@ -824,7 +770,7 @@ mod tests {
     #[test]
     fn anti_after_execution_rolls_back() {
         let app = Accum { n: 2, bound: 0 };
-        let (mut lps, mut stats, mut outbox) = setup(&app);
+        let (mut lps, mut fold, mut outbox) = setup(&app);
         outbox.clear();
         let ev = Event {
             id: EventId { src: 0, seq: 7 },
@@ -833,17 +779,11 @@ mod tests {
             recv_time: VTime(4),
             msg: 9,
         };
-        lps[1].receive(
-            &app,
-            Transmission::Positive(ev.clone()),
-            &mut stats,
-            &mut outbox,
-            &mut NoProbe,
-        );
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+        lps[1].receive(&app, Transmission::Positive(ev.clone()), &mut outbox, &mut fold);
+        lps[1].execute_next(&app, &mut outbox, &mut fold);
         assert_eq!(*lps[1].state(), 9);
-        lps[1].receive(&app, Transmission::Anti(ev.anti()), &mut stats, &mut outbox, &mut NoProbe);
-        assert_eq!(stats.secondary_rollbacks, 1);
+        lps[1].receive(&app, Transmission::Anti(ev.anti()), &mut outbox, &mut fold);
+        assert_eq!(fold.stats.secondary_rollbacks, 1);
         assert_eq!(*lps[1].state(), 0);
         assert!(lps[1].next_time().is_inf(), "annihilated event must not re-execute");
     }
@@ -852,7 +792,7 @@ mod tests {
     #[test]
     fn orphan_anti_kills_later_positive() {
         let app = Accum { n: 2, bound: 0 };
-        let (mut lps, mut stats, mut outbox) = setup(&app);
+        let (mut lps, mut fold, mut outbox) = setup(&app);
         outbox.clear();
         let ev = Event {
             id: EventId { src: 0, seq: 9 },
@@ -861,17 +801,17 @@ mod tests {
             recv_time: VTime(4),
             msg: 9,
         };
-        lps[1].receive(&app, Transmission::Anti(ev.anti()), &mut stats, &mut outbox, &mut NoProbe);
-        lps[1].receive(&app, Transmission::Positive(ev), &mut stats, &mut outbox, &mut NoProbe);
+        lps[1].receive(&app, Transmission::Anti(ev.anti()), &mut outbox, &mut fold);
+        lps[1].receive(&app, Transmission::Positive(ev), &mut outbox, &mut fold);
         assert!(lps[1].next_time().is_inf());
-        assert_eq!(stats.annihilated_pending, 1);
+        assert_eq!(fold.stats.annihilated_pending, 1);
     }
 
     /// Rollback must cancel sent outputs (aggressive: antis emitted).
     #[test]
     fn rollback_cancels_outputs_aggressively() {
         let app = Accum { n: 2, bound: 10 }; // forwards value+1
-        let (mut lps, mut stats, mut outbox) = setup(&app);
+        let (mut lps, mut fold, mut outbox) = setup(&app);
         outbox.clear();
         let mk = |seq, t, v| Event {
             id: EventId { src: 0, seq },
@@ -880,28 +820,16 @@ mod tests {
             recv_time: VTime(t),
             msg: v,
         };
-        lps[1].receive(
-            &app,
-            Transmission::Positive(mk(1, 5, 2)),
-            &mut stats,
-            &mut outbox,
-            &mut NoProbe,
-        );
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+        lps[1].receive(&app, Transmission::Positive(mk(1, 5, 2)), &mut outbox, &mut fold);
+        lps[1].execute_next(&app, &mut outbox, &mut fold);
         // LP1 forwarded one event.
         assert_eq!(outbox.iter().filter(|t| t.is_positive()).count(), 1);
         outbox.clear();
         // Straggler at t=3 rolls back the t=5 execution → 1 anti out.
-        lps[1].receive(
-            &app,
-            Transmission::Positive(mk(2, 3, 4)),
-            &mut stats,
-            &mut outbox,
-            &mut NoProbe,
-        );
+        lps[1].receive(&app, Transmission::Positive(mk(2, 3, 4)), &mut outbox, &mut fold);
         let antis: Vec<_> = outbox.iter().filter(|t| !t.is_positive()).collect();
         assert_eq!(antis.len(), 1);
-        assert_eq!(stats.antis_sent, 1);
+        assert_eq!(fold.stats.antis_sent, 1);
     }
 
     /// Lazy cancellation: if re-execution regenerates the identical event,
@@ -912,7 +840,7 @@ mod tests {
         let cfg = KernelConfig { cancellation: Cancellation::Lazy, ..Default::default() };
         let mut init = Vec::new();
         let mut lp1: LpRuntime<Accum> = LpRuntime::new(&app, 1, cfg, &mut init);
-        let mut stats = KernelStats::default();
+        let mut fold = StatsFold::new(2);
         let mut outbox: Vec<Transmission<u64>> = Vec::new();
 
         let mk = |seq, t, v| Event {
@@ -923,36 +851,24 @@ mod tests {
             msg: v,
         };
         // Execute at t=5, forwarding an event.
-        lp1.receive(
-            &app,
-            Transmission::Positive(mk(1, 5, 2)),
-            &mut stats,
-            &mut outbox,
-            &mut NoProbe,
-        );
-        lp1.execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+        lp1.receive(&app, Transmission::Positive(mk(1, 5, 2)), &mut outbox, &mut fold);
+        lp1.execute_next(&app, &mut outbox, &mut fold);
         let sent_before = outbox.len();
         assert_eq!(sent_before, 1);
 
         // Straggler at t=3 whose message does NOT change what the t=5
         // execution sends (accumulation is independent of prior state).
-        lp1.receive(
-            &app,
-            Transmission::Positive(mk(2, 3, 7)),
-            &mut stats,
-            &mut outbox,
-            &mut NoProbe,
-        );
-        assert_eq!(stats.antis_sent, 0, "lazy: no anti yet");
+        lp1.receive(&app, Transmission::Positive(mk(2, 3, 7)), &mut outbox, &mut fold);
+        assert_eq!(fold.stats.antis_sent, 0, "lazy: no anti yet");
         // Re-execute t=3 then t=5.
-        lp1.execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
-        lp1.execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+        lp1.execute_next(&app, &mut outbox, &mut fold);
+        lp1.execute_next(&app, &mut outbox, &mut fold);
         // The t=5 re-execution regenerated the same send for t=7 (value 3)
         // — it must have been suppressed, plus one NEW send from the t=3
         // event (value 8 at t=5... value 7+1 at t=3+2).
         let positives = outbox.iter().filter(|t| t.is_positive()).count();
         assert_eq!(positives, 2, "original + straggler's own send only");
-        assert_eq!(stats.antis_sent, 0);
+        assert_eq!(fold.stats.antis_sent, 0);
     }
 
     /// Fossil collection frees state/processed queues but keeps enough to
@@ -960,7 +876,7 @@ mod tests {
     #[test]
     fn fossil_collection_reclaims_memory() {
         let app = Accum { n: 2, bound: 0 };
-        let (mut lps, mut stats, mut outbox) = setup(&app);
+        let (mut lps, mut fold, mut outbox) = setup(&app);
         outbox.clear();
         for t in 1..=20 {
             let ev = Event {
@@ -970,16 +886,16 @@ mod tests {
                 recv_time: VTime(t.saturating_mul(2)),
                 msg: 1,
             };
-            lps[1].receive(&app, Transmission::Positive(ev), &mut stats, &mut outbox, &mut NoProbe);
+            lps[1].receive(&app, Transmission::Positive(ev), &mut outbox, &mut fold);
         }
         for _ in 0..20 {
-            lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+            lps[1].execute_next(&app, &mut outbox, &mut fold);
         }
         let before = lps[1].state_queue_len();
         assert!(before > 20);
-        lps[1].fossil_collect(VTime(30), &mut stats, &mut NoProbe);
+        lps[1].fossil_collect(VTime(30), &mut fold);
         assert!(lps[1].state_queue_len() < before);
-        assert!(stats.events_committed > 0);
+        assert!(fold.stats.events_committed > 0);
         // Still able to roll back to >= GVT: straggler at exactly 30.
         let s = Event {
             id: EventId { src: 0, seq: 99 },
@@ -988,14 +904,14 @@ mod tests {
             recv_time: VTime(30),
             msg: 5,
         };
-        lps[1].receive(&app, Transmission::Positive(s), &mut stats, &mut outbox, &mut NoProbe);
-        assert_eq!(stats.primary_rollbacks, 1);
+        lps[1].receive(&app, Transmission::Positive(s), &mut outbox, &mut fold);
+        assert_eq!(fold.stats.primary_rollbacks, 1);
         // Replay to completion and verify the sum: 20 ones + 5.
         while !lps[1].next_time().is_inf() {
-            lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+            lps[1].execute_next(&app, &mut outbox, &mut fold);
         }
         assert_eq!(*lps[1].state(), 25);
-        lps[1].fossil_collect(VTime::INF, &mut stats, &mut NoProbe);
+        lps[1].fossil_collect(VTime::INF, &mut fold);
         assert_eq!(lps[1].state_queue_len(), 1);
     }
 
@@ -1007,7 +923,7 @@ mod tests {
         let cfg = KernelConfig { checkpoint_interval: 4, ..Default::default() };
         let mut init = Vec::new();
         let mut lp1: LpRuntime<Accum> = LpRuntime::new(&app, 1, cfg, &mut init);
-        let mut stats = KernelStats::default();
+        let mut fold = StatsFold::new(2);
         let mut outbox: Vec<Transmission<u64>> = Vec::new();
         for t in 1..=10u64 {
             let ev = Event {
@@ -1017,10 +933,10 @@ mod tests {
                 recv_time: VTime(t.saturating_mul(10)),
                 msg: t,
             };
-            lp1.receive(&app, Transmission::Positive(ev), &mut stats, &mut outbox, &mut NoProbe);
+            lp1.receive(&app, Transmission::Positive(ev), &mut outbox, &mut fold);
         }
         for _ in 0..10 {
-            lp1.execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+            lp1.execute_next(&app, &mut outbox, &mut fold);
         }
         assert_eq!(*lp1.state(), 55);
         // Straggler at t=55 (between checkpoints at batches 4 and 8).
@@ -1031,11 +947,11 @@ mod tests {
             recv_time: VTime(55),
             msg: 100,
         };
-        lp1.receive(&app, Transmission::Positive(s), &mut stats, &mut outbox, &mut NoProbe);
+        lp1.receive(&app, Transmission::Positive(s), &mut outbox, &mut fold);
         // State must equal the sum of messages at t < 55: 1+2+3+4+5 = 15.
         assert_eq!(*lp1.state(), 15, "coast-forward must rebuild mid-interval state");
         while !lp1.next_time().is_inf() {
-            lp1.execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+            lp1.execute_next(&app, &mut outbox, &mut fold);
         }
         assert_eq!(*lp1.state(), 155);
     }
@@ -1044,7 +960,7 @@ mod tests {
     #[test]
     fn event_ids_unique_across_rollbacks() {
         let app = Accum { n: 2, bound: 10 };
-        let (mut lps, mut stats, mut outbox) = setup(&app);
+        let (mut lps, mut fold, mut outbox) = setup(&app);
         outbox.clear();
         let mk = |seq, t, v| Event {
             id: EventId { src: 0, seq },
@@ -1054,23 +970,11 @@ mod tests {
             msg: v,
         };
         let mut seen = std::collections::HashSet::new();
-        lps[1].receive(
-            &app,
-            Transmission::Positive(mk(1, 5, 2)),
-            &mut stats,
-            &mut outbox,
-            &mut NoProbe,
-        );
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
-        lps[1].receive(
-            &app,
-            Transmission::Positive(mk(2, 3, 4)),
-            &mut stats,
-            &mut outbox,
-            &mut NoProbe,
-        );
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+        lps[1].receive(&app, Transmission::Positive(mk(1, 5, 2)), &mut outbox, &mut fold);
+        lps[1].execute_next(&app, &mut outbox, &mut fold);
+        lps[1].receive(&app, Transmission::Positive(mk(2, 3, 4)), &mut outbox, &mut fold);
+        lps[1].execute_next(&app, &mut outbox, &mut fold);
+        lps[1].execute_next(&app, &mut outbox, &mut fold);
         for tx in &outbox {
             if let Transmission::Positive(e) = tx {
                 assert!(seen.insert(e.id), "duplicate id {:?}", e.id);

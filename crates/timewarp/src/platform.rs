@@ -26,8 +26,8 @@ use crate::dynlb::{move_is_valid, DynLb, WindowStats, WindowTracker};
 use crate::event::{Event, LpId, Transmission};
 use crate::lp::LpRuntime;
 use crate::probe::Probe;
-use crate::sim::{Outcome, RunReport, SimError};
-use crate::stats::KernelStats;
+use crate::sim::{Outcome, SimError};
+use crate::stats::Counted;
 use crate::time::VTime;
 
 /// Platform-level configuration.
@@ -114,17 +114,18 @@ struct Flight<M> {
     tx: Transmission<M>,
 }
 
-/// The executive proper, generic over the telemetry probe.
+/// The executive proper, generic over the telemetry probe. Modeled time is
+/// charged from counter deltas read off the fold (`probe.a`).
 // detlint: phase(compute|flush|gvt|migrate|fossil)
 pub(crate) fn platform_core<A: Application, P: Probe>(
     app: &A,
     assignment: &[u32],
     nodes: usize,
     cfg: &PlatformConfig,
-    probe: &mut P,
+    probe: &mut Counted<P>,
     mut dynlb: Option<&mut DynLb>,
     chaos_plan: Option<&FaultPlan>,
-) -> Result<RunReport<A>, SimError> {
+) -> Result<(Vec<A::State>, Outcome), SimError> {
     if assignment.len() != app.num_lps() {
         return Err(SimError::InvalidConfig(format!(
             "assignment covers {} LPs but the application has {}",
@@ -139,6 +140,9 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
         return Err(SimError::InvalidConfig(format!(
             "assignment targets node {bad} but only {nodes} nodes exist"
         )));
+    }
+    if let Some(plan) = chaos_plan {
+        plan.check_nodes(nodes).map_err(SimError::InvalidConfig)?;
     }
     let kernel = cfg.kernel.normalized();
     let cost = cfg.cost;
@@ -158,8 +162,6 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
     }
     let mut tracker = dynlb.as_ref().map(|_| WindowTracker::new(app.num_lps()));
 
-    let mut stats =
-        KernelStats { replicated_gates: app.replicated_units(), ..KernelStats::default() };
     let mut outbox: Vec<Transmission<A::Msg>> = Vec::new();
 
     // LPs the model forbids migrating (replica LPs: moving one would
@@ -196,7 +198,7 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
     // framework partitions after elaboration; setup cost is not measured).
     for ev in init_events {
         let dst = ev.dst;
-        lps[dst as usize].receive(app, Transmission::Positive(ev), &mut stats, &mut outbox, probe);
+        lps[dst as usize].receive(app, Transmission::Positive(ev), &mut outbox, probe);
         debug_assert!(outbox.is_empty(), "init events cannot roll anything back");
         let nt = lps[dst as usize].next_time();
         if !nt.is_inf() {
@@ -257,19 +259,14 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                     charge!($from, cost.local_enqueue_ns);
                     // Local delivery is immediate; it may trigger a local
                     // (secondary) rollback whose antis land back in outbox.
-                    lps[dst].receive(app, tx, &mut stats, &mut outbox, probe);
+                    lps[dst].receive(app, tx, &mut outbox, probe);
                     let nt = lps[dst].next_time();
                     if !nt.is_inf() {
                         node_state[dst_node].ready.push(Reverse((nt, dst as LpId)));
                     }
                 } else {
-                    if tx.is_positive() {
-                        stats.app_messages += 1;
-                        if let Some(tr) = tracker.as_mut() {
-                            tr.record_comm(tx.id().src, tx.dst());
-                        }
-                    } else {
-                        stats.anti_messages_remote += 1;
+                    if let Some(tr) = tracker.as_mut().filter(|_| tx.is_positive()) {
+                        tr.record_comm(tx.id().src, tx.dst());
                     }
                     probe.remote_message(tx.is_positive(), tx.recv_time());
                     charge!($from, cost.msg_send_ns);
@@ -284,7 +281,6 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                         if ch.should_drop(dst_node, wire_at, wire_id, 0) {
                             ch.note_drop(dst_node, 0);
                             ch.arm_timer(wire_id, wire_at + ch.rto_for(0));
-                            stats.transmissions_dropped += 1;
                             probe.transmission_dropped(tx.is_positive(), tx.recv_time());
                             continue; // no flight; the RTO will retransmit
                         }
@@ -350,13 +346,9 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
             match chaos.as_mut().expect("chaos due").pop_step().expect("chaos item due") {
                 ChaosStep::Ack => {}
                 ChaosStep::FaultEdge { node, onset, active_now } => {
-                    if onset {
-                        stats.faults_injected += 1;
-                    }
                     probe.fault_event(node, onset, active_now, last_gvt);
                 }
                 ChaosStep::Retransmit { wire_id, tx, from_node, attempt, at_ns } => {
-                    stats.retransmissions += 1;
                     probe.retransmitted(tx.recv_time());
                     // The sender's CPU re-sends when the timer fires (or
                     // as soon as it is free after that); destination node
@@ -370,7 +362,6 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                     if ch.should_drop(dst_node, wire_at, wire_id, attempt) {
                         ch.note_drop(dst_node, attempt);
                         ch.arm_timer(wire_id, wire_at + ch.rto_for(attempt));
-                        stats.transmissions_dropped += 1;
                         probe.transmission_dropped(tx.is_positive(), tx.recv_time());
                     } else {
                         let extra = ch.degrade_extra(dst_node, wire_at, wire_id, attempt);
@@ -418,7 +409,6 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                                 // the retransmit deadline.
                                 let v = ch.on_flight_arrival(flight.wire_id, dnode, arrive);
                                 if v.ack_dropped {
-                                    stats.transmissions_dropped += 1;
                                     probe.transmission_dropped(
                                         flight.tx.is_positive(),
                                         flight.tx.recv_time(),
@@ -432,17 +422,17 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                                 }
                             }
                         }
-                        let rb_before = stats.rollbacks();
-                        let undone_before = stats.events_rolled_back;
-                        let coasted_before = stats.events_coasted;
-                        lps[dst].receive(app, flight.tx, &mut stats, &mut outbox, probe);
-                        if stats.rollbacks() > rb_before {
+                        let s = &probe.a.stats;
+                        let (rb, undone, coasted) =
+                            (s.rollbacks(), s.events_rolled_back, s.events_coasted);
+                        lps[dst].receive(app, flight.tx, &mut outbox, probe);
+                        let s = &probe.a.stats;
+                        if s.rollbacks() > rb {
                             charge!(
                                 dnode,
                                 cost.rollback_ns
-                                    + cost.undo_per_event_ns
-                                        * (stats.events_rolled_back - undone_before)
-                                    + cost.event_exec_ns * (stats.events_coasted - coasted_before)
+                                    + cost.undo_per_event_ns * (s.events_rolled_back - undone)
+                                    + cost.event_exec_ns * (s.events_coasted - coasted)
                             );
                         }
                         let nt = lps[dst].next_time();
@@ -454,15 +444,15 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                         let ni = exec.unwrap();
                         let Reverse((t, lp)) = node_state[ni].ready.pop().unwrap();
                         debug_assert_eq!(lps[lp as usize].next_time(), t);
-                        let pe_before = stats.events_processed;
-                        let saves_before = stats.states_saved;
-                        lps[lp as usize].execute_next(app, &mut stats, &mut outbox, probe);
-                        let batch = stats.events_processed - pe_before;
+                        let s = &probe.a.stats;
+                        let (processed, saved) = (s.events_processed, s.states_saved);
+                        lps[lp as usize].execute_next(app, &mut outbox, probe);
+                        let s = &probe.a.stats;
                         charge!(
                             ni,
                             cost.batch_overhead_ns
-                                + cost.event_exec_ns * batch
-                                + cost.state_save_ns * (stats.states_saved - saves_before)
+                                + cost.event_exec_ns * (s.events_processed - processed)
+                                + cost.state_save_ns * (s.states_saved - saved)
                         );
                         node_state[ni].batches += 1;
                         batches_since_gvt += 1;
@@ -497,12 +487,11 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                 .min(chaos.as_ref().map_or(VTime::INF, |ch| ch.unacked_min_recv()));
             let gvt = lps.iter().map(|l| l.local_min()).min().unwrap_or(VTime::INF).min(in_flight);
             last_gvt = gvt;
-            stats.gvt_rounds += 1;
             let mut held_total = 0u64;
             let mut pending_total = 0u64;
             let mut per_node = vec![0u64; nodes];
             for lp in &mut lps {
-                lp.fossil_collect(gvt, &mut stats, probe);
+                lp.fossil_collect(gvt, probe);
             }
             for (i, lp) in lps.iter().enumerate() {
                 let h = lp.state_queue_len() as u64;
@@ -510,7 +499,6 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                 pending_total += lp.pending_len() as u64;
                 per_node[assignment[i] as usize] += h;
             }
-            stats.state_queue_high_water = stats.state_queue_high_water.max(held_total);
             for (i, &held) in per_node.iter().enumerate() {
                 charge!(i, cost.gvt_round_ns);
                 if let Some(limit) = cfg.state_limit_per_node {
@@ -529,12 +517,12 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
             // Migration traffic goes through the same network cost model as
             // application messages, so its price shows up in modeled time.
             if let Some(lb) = dynlb.as_deref_mut() {
-                if !gvt.is_inf() && stats.gvt_rounds.is_multiple_of(lb.cfg.period.max(1)) {
+                if !gvt.is_inf() && probe.a.stats.gvt_rounds.is_multiple_of(lb.cfg.period.max(1)) {
                     let tr = tracker.as_mut().expect("tracker exists when balancing");
                     let mut window = WindowStats::new(lps.len());
                     window.gvt = gvt;
-                    for (i, lp) in lps.iter().enumerate() {
-                        window.lps[i] = tr.diff(i as LpId, lp.own_stats());
+                    for (i, &counters) in probe.a.lps.iter().enumerate() {
+                        window.lps[i] = tr.diff(i as LpId, counters);
                     }
                     window.comm = tr.take_comm();
                     // Attribute the modeled latency each node lost to
@@ -568,8 +556,8 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                             }
                         }
                     }
-                    stats.lb_rounds += 1;
-                    window.round = stats.lb_rounds;
+                    probe.a.stats.lb_rounds += 1;
+                    window.round = probe.a.stats.lb_rounds;
                     let plan = lb.balancer.plan(&window, &assignment, nodes, &lb.cfg);
                     for mv in plan {
                         if !move_is_valid(&mv, &assignment, nodes) || pinned[mv.lp as usize] {
@@ -596,8 +584,6 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                         if !nt.is_inf() {
                             node_state[dst].ready.push(Reverse((nt, mv.lp)));
                         }
-                        stats.migrations += 1;
-                        stats.migrated_state_bytes += bytes;
                         probe.lp_migrated(mv.lp, mv.from, mv.to, gvt, bytes);
                     }
                 }
@@ -619,23 +605,20 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
     for lp in &lps {
         held_total += lp.state_queue_len() as u64;
     }
-    stats.state_queue_high_water = stats.state_queue_high_water.max(held_total);
+    let hw = &mut probe.a.stats.state_queue_high_water;
+    *hw = (*hw).max(held_total);
     for lp in &mut lps {
-        lp.fossil_collect(VTime::INF, &mut stats, probe);
+        lp.fossil_collect(VTime::INF, probe);
     }
-    stats.final_gvt = VTime::INF;
 
     let max_clock = node_state.iter().map(|n| n.clock_ns).max().unwrap_or(0);
-    Ok(RunReport {
-        stats,
-        lp_stats: lps.iter().map(|lp| lp.own_stats()).collect(),
-        states: lps.into_iter().map(|lp| lp.into_state()).collect(),
-        outcome: Outcome::Platform {
+    Ok((
+        lps.into_iter().map(|lp| lp.into_state()).collect(),
+        Outcome::Platform {
             exec_time_s: max_clock as f64 / 1e9,
             node_clocks_ns: node_state.iter().map(|n| n.clock_ns).collect(),
         },
-        telemetry: None,
-    })
+    ))
 }
 
 /// Modeled execution time of the sequential baseline under the same cost
@@ -648,7 +631,7 @@ pub fn sequential_modeled_time_s(events: u64, cost: &CostModel) -> f64 {
 mod tests {
     use super::*;
     use crate::app::EventSink;
-    use crate::sim::{Backend, Simulator};
+    use crate::sim::{Backend, RunReport, Simulator};
 
     /// A ring of LPs passing tokens with per-hop jitter in virtual time:
     /// enough structure for cross-node causality violations.

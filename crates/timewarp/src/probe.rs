@@ -13,7 +13,9 @@
 //! The default probe is [`NoProbe`], a zero-sized type whose callbacks are
 //! empty: executives are generic over `P: Probe`, so with `NoProbe` every
 //! call site monomorphizes to nothing — telemetry costs exactly zero when
-//! off. [`crate::series::TimeSeries`] is the bundled recording probe.
+//! off. [`crate::series::TimeSeries`] is the bundled recording probe, and
+//! the kernel's own counters ([`crate::stats::KernelStats`]) are the fold
+//! of this stream (see [`crate::stats`]).
 //!
 //! Concurrency model: the threaded executive calls [`Probe::fork`] once
 //! per cluster to obtain an independent child probe (no locking on the hot
@@ -42,10 +44,11 @@ pub trait Probe: Send {
 
     /// The batch just executed declared application-level work through the
     /// `EventSink`: `activations` block activations sweeping `ops`
-    /// fine-grained operations (compiled gate evaluations). Fires only
-    /// when the application declared work — gate-per-LP and PHOLD runs
-    /// never see it.
-    fn app_work(&mut self, lp: LpId, now: VTime, activations: u64, ops: u64) {}
+    /// fine-grained operations (compiled gate evaluations), and `saved`
+    /// boundary messages elided by logic replication. Fires only when the
+    /// application declared work — gate-per-LP runs without replicas and
+    /// PHOLD runs never see it.
+    fn app_work(&mut self, lp: LpId, now: VTime, activations: u64, ops: u64, saved: u64) {}
 
     /// A rollback is starting: `lp` unwinds from `from` so the next batch
     /// executes at `to`.
@@ -144,9 +147,9 @@ impl<P: Probe, Q: Probe> Probe for Tee<P, Q> {
         self.a.batch_executed(lp, now, events);
         self.b.batch_executed(lp, now, events);
     }
-    fn app_work(&mut self, lp: LpId, now: VTime, activations: u64, ops: u64) {
-        self.a.app_work(lp, now, activations, ops);
-        self.b.app_work(lp, now, activations, ops);
+    fn app_work(&mut self, lp: LpId, now: VTime, activations: u64, ops: u64, saved: u64) {
+        self.a.app_work(lp, now, activations, ops, saved);
+        self.b.app_work(lp, now, activations, ops, saved);
     }
     fn rollback_begun(&mut self, lp: LpId, kind: RollbackKind, from: VTime, to: VTime) {
         self.a.rollback_begun(lp, kind, from, to);

@@ -9,8 +9,7 @@ use crate::app::{Application, EventSink};
 use crate::event::{EventId, LpId};
 use crate::pool::IdHashMap;
 use crate::probe::Probe;
-use crate::sim::{Outcome, RunReport};
-use crate::stats::{KernelStats, LpCounters};
+use crate::sim::Outcome;
 use crate::time::VTime;
 
 /// Payload side-table for the global queue, keyed by insertion uid.
@@ -22,12 +21,12 @@ type Payloads<M> = IdHashMap<u64, (LpId, VTime, LpId, M)>;
 /// committed the moment it executes (a sequential run cannot roll back),
 /// so the probe sees `batch_executed` + `fossil_collected` pairs and
 /// nothing else.
-pub(crate) fn sequential_core<A: Application, P: Probe>(app: &A, probe: &mut P) -> RunReport<A> {
+pub(crate) fn sequential_core<A: Application, P: Probe>(
+    app: &A,
+    probe: &mut P,
+) -> (Vec<A::State>, Outcome) {
     let n = app.num_lps();
     let mut states: Vec<A::State> = (0..n as LpId).map(|i| app.init_state(i)).collect();
-    let mut stats =
-        KernelStats { replicated_gates: app.replicated_units(), ..KernelStats::default() };
-    let mut lp_stats: Vec<LpCounters> = vec![LpCounters::default(); n];
 
     // Global queue keyed by (recv_time, dst, src-id) so batch grouping and
     // in-batch order are deterministic.
@@ -76,17 +75,10 @@ pub(crate) fn sequential_core<A: Application, P: Probe>(app: &A, probe: &mut P) 
         }
         let mut sink = EventSink::new(t);
         app.execute(dst, &mut states[dst as usize], t, &batch, &mut sink);
-        stats.batches_executed += 1;
-        stats.events_processed += batch.len() as u64;
-        stats.events_committed += batch.len() as u64;
-        lp_stats[dst as usize].events_processed += batch.len() as u64;
         probe.batch_executed(dst, t, batch.len() as u64);
         let work = sink.take_work();
         if work != crate::app::AppWork::default() {
-            stats.block_activations += work.activations;
-            stats.ops_executed += work.ops;
-            stats.messages_saved += work.saved;
-            probe.app_work(dst, t, work.activations, work.ops);
+            probe.app_work(dst, t, work.activations, work.ops, work.saved);
         }
         probe.fossil_collected(dst, t, batch.len() as u64);
         end_time = t;
@@ -94,14 +86,7 @@ pub(crate) fn sequential_core<A: Application, P: Probe>(app: &A, probe: &mut P) 
             push(&mut heap, &mut payloads, &mut uid, &mut seqs, dst, d2, at, msg);
         }
     }
-    stats.final_gvt = VTime::INF;
-    RunReport {
-        stats,
-        states,
-        lp_stats,
-        outcome: Outcome::Sequential { end_time },
-        telemetry: None,
-    }
+    (states, Outcome::Sequential { end_time })
 }
 
 #[cfg(test)]

@@ -9,8 +9,9 @@
 //!
 //! Invariant (checked by the test suite): for every additive counter, the
 //! sum over all buckets equals the run's aggregate [`KernelStats`] value.
-//! Bucket counters are updated only from [`Probe`] callbacks, which fire
-//! exactly once per `KernelStats` increment.
+//! `KernelStats` is the fold of the same [`Probe`] stream (every run tees
+//! the caller's probe behind the crate's counter fold), so the check
+//! compares this recorder's bucketing against that fold.
 //!
 //! [`KernelStats`]: crate::stats::KernelStats
 
@@ -329,7 +330,7 @@ impl Probe for TimeSeries {
         b.events += events;
     }
 
-    fn app_work(&mut self, _lp: LpId, now: VTime, activations: u64, ops: u64) {
+    fn app_work(&mut self, _lp: LpId, now: VTime, activations: u64, ops: u64, _saved: u64) {
         let b = self.at(now);
         b.block_activations += activations;
         b.ops_executed += ops;
@@ -424,8 +425,8 @@ mod tests {
         ts.batch_executed(0, VTime(3), 2);
         ts.batch_executed(1, VTime(7), 1);
         ts.batch_executed(0, VTime(15), 4);
-        ts.app_work(0, VTime(3), 1, 5);
-        ts.app_work(0, VTime(15), 1, 9);
+        ts.app_work(0, VTime(3), 1, 5, 0);
+        ts.app_work(0, VTime(15), 1, 9, 0);
         ts.rollback_begun(0, RollbackKind::Primary, VTime(15), VTime(12));
         ts.rollback_ended(0, VTime(12), 3, 1);
         ts.anti_sent(0, VTime(15));

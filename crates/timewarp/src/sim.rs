@@ -28,7 +28,7 @@ use crate::dynlb::{DynLb, DynLbConfig, GreedyBalancer, LoadBalancer};
 use crate::platform::PlatformConfig;
 use crate::probe::{NoProbe, Probe, Tee};
 use crate::series::TimeSeries;
-use crate::stats::{KernelStats, LpCounters};
+use crate::stats::{KernelStats, LpCounters, StatsFold};
 use crate::time::VTime;
 
 /// Which executive runs the application.
@@ -275,16 +275,14 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
         let mut dynlb = dynlb;
         match record {
             Some(width) => {
-                let mut tee = Tee::new(TimeSeries::new(width), probe);
-                let mut report =
-                    dispatch(app, &pcfg, &backend, &mut tee, dynlb.as_mut(), chaos.as_ref())?;
+                let tee = Tee::new(TimeSeries::new(width), probe);
+                let (mut report, tee) =
+                    dispatch(app, &pcfg, &backend, tee, dynlb.as_mut(), chaos.as_ref())?;
                 report.telemetry = Some(tee.a);
                 Ok(report)
             }
-            None => {
-                let mut probe = probe;
-                dispatch(app, &pcfg, &backend, &mut probe, dynlb.as_mut(), chaos.as_ref())
-            }
+            None => dispatch(app, &pcfg, &backend, probe, dynlb.as_mut(), chaos.as_ref())
+                .map(|(report, _)| report),
         }
     }
 }
@@ -313,31 +311,33 @@ fn validate<A: Application>(app: &A, backend: &Backend<'_>) -> Result<(), SimErr
     Ok(())
 }
 
+/// Run the executive behind `probe` teed with the [`StatsFold`] whose
+/// final value becomes the report's counters; the probe is handed back.
 fn dispatch<A: Application, P: Probe>(
     app: &A,
     cfg: &PlatformConfig,
     backend: &Backend<'_>,
-    probe: &mut P,
+    probe: P,
     dynlb: Option<&mut DynLb>,
     chaos: Option<&FaultPlan>,
-) -> Result<RunReport<A>, SimError> {
-    match backend {
+) -> Result<(RunReport<A>, P), SimError> {
+    let mut tee = Tee::new(StatsFold::new(app.num_lps()), probe);
+    let (states, outcome) = match backend {
         // The sequential executive has no GVT rounds, so dynamic load
         // balancing is trivially a no-op there — which is exactly what
         // makes it the placement-independent oracle for migration tests.
-        Backend::Sequential => Ok(crate::sequential::sequential_core(app, probe)),
+        Backend::Sequential => crate::sequential::sequential_core(app, &mut tee),
         Backend::Platform { assignment, nodes } => {
-            crate::platform::platform_core(app, assignment, *nodes, cfg, probe, dynlb, chaos)
+            crate::platform::platform_core(app, assignment, *nodes, cfg, &mut tee, dynlb, chaos)?
         }
-        Backend::Threaded { assignment, clusters } => Ok(crate::threaded::threaded_core(
-            app,
-            assignment,
-            *clusters,
-            &cfg.kernel,
-            probe,
-            dynlb,
-        )),
-    }
+        Backend::Threaded { assignment, clusters } => {
+            crate::threaded::threaded_core(app, assignment, *clusters, &cfg.kernel, &mut tee, dynlb)
+        }
+    };
+    let Tee { a: StatsFold { mut stats, lps }, b: probe } = tee;
+    stats.replicated_gates = app.replicated_units();
+    stats.final_gvt = VTime::INF;
+    Ok((RunReport { stats, states, lp_stats: lps, outcome, telemetry: None }, probe))
 }
 
 #[cfg(test)]

@@ -1,5 +1,11 @@
 //! Simulation statistics — the quantities the paper's Figures 4–6 plot.
+//!
+//! The counters are the fold of the [`Probe`] stream: every executive
+//! tees the caller's probe with a [`StatsFold`] and reports its final
+//! value, so each protocol event is counted in exactly one place.
 
+use crate::event::LpId;
+use crate::probe::{Probe, RollbackKind, Tee};
 use crate::time::VTime;
 
 /// Per-LP counters, for locating rollback and load hotspots (the paper's
@@ -151,6 +157,101 @@ impl KernelStats {
     }
 }
 
+/// The probe every executive runs: the counter fold teed with the
+/// caller's probe.
+pub(crate) type Counted<P> = Tee<StatsFold, P>;
+
+/// The probe whose fold is a run's [`KernelStats`] plus its per-LP
+/// counters. Counters with no callback (`comm_batches`, `lb_rounds`,
+/// `replicated_gates`, `final_gvt` and the platform's end-of-run
+/// high-water sample) are written into `stats` directly by the executives.
+#[derive(Debug, Default)]
+pub(crate) struct StatsFold {
+    pub(crate) stats: KernelStats,
+    pub(crate) lps: Vec<LpCounters>,
+}
+
+impl StatsFold {
+    /// A zeroed fold over `n` LPs.
+    pub(crate) fn new(n: usize) -> StatsFold {
+        StatsFold { stats: KernelStats::default(), lps: vec![LpCounters::default(); n] }
+    }
+}
+
+impl Probe for StatsFold {
+    fn batch_executed(&mut self, lp: LpId, _now: VTime, events: u64) {
+        self.stats.batches_executed += 1;
+        self.stats.events_processed += events;
+        self.lps[lp as usize].events_processed += events;
+    }
+    fn app_work(&mut self, _lp: LpId, _now: VTime, activations: u64, ops: u64, saved: u64) {
+        self.stats.block_activations += activations;
+        self.stats.ops_executed += ops;
+        self.stats.messages_saved += saved;
+    }
+    fn rollback_begun(&mut self, lp: LpId, kind: RollbackKind, _from: VTime, _to: VTime) {
+        match kind {
+            RollbackKind::Primary => self.stats.primary_rollbacks += 1,
+            RollbackKind::Secondary => self.stats.secondary_rollbacks += 1,
+        }
+        self.lps[lp as usize].rollbacks += 1;
+    }
+    fn rollback_ended(&mut self, lp: LpId, _to: VTime, undone: u64, coasted: u64) {
+        self.stats.events_rolled_back += undone;
+        self.stats.events_coasted += coasted;
+        self.lps[lp as usize].events_rolled_back += undone;
+    }
+    fn anti_sent(&mut self, _lp: LpId, _sent: VTime) {
+        self.stats.antis_sent += 1;
+    }
+    fn annihilated(&mut self, _lp: LpId, _at: VTime) {
+        self.stats.annihilated_pending += 1;
+    }
+    fn state_saved(&mut self, _lp: LpId, _now: VTime) {
+        self.stats.states_saved += 1;
+    }
+    fn fossil_collected(&mut self, _lp: LpId, _gvt: VTime, committed: u64) {
+        self.stats.events_committed += committed;
+    }
+    fn gvt_advanced(&mut self, _gvt: VTime, states_held: u64, _pending: u64, _wall_ns: u64) {
+        self.stats.gvt_rounds += 1;
+        self.stats.state_queue_high_water = self.stats.state_queue_high_water.max(states_held);
+    }
+    fn remote_message(&mut self, positive: bool, _at: VTime) {
+        if positive {
+            self.stats.app_messages += 1;
+        } else {
+            self.stats.anti_messages_remote += 1;
+        }
+    }
+    fn lp_migrated(&mut self, _lp: LpId, _from: u32, _to: u32, _gvt: VTime, bytes: u64) {
+        self.stats.migrations += 1;
+        self.stats.migrated_state_bytes += bytes;
+    }
+    fn fault_event(&mut self, _node: u32, onset: bool, _active_now: u64, _gvt: VTime) {
+        if onset {
+            self.stats.faults_injected += 1;
+        }
+    }
+    fn transmission_dropped(&mut self, _positive: bool, _at: VTime) {
+        self.stats.transmissions_dropped += 1;
+    }
+    fn retransmitted(&mut self, _at: VTime) {
+        self.stats.retransmissions += 1;
+    }
+    fn fork(&mut self) -> StatsFold {
+        StatsFold::new(self.lps.len())
+    }
+    fn join(&mut self, child: StatsFold) {
+        self.stats.merge(&child.stats);
+        for (mine, theirs) in self.lps.iter_mut().zip(child.lps) {
+            mine.events_processed += theirs.events_processed;
+            mine.rollbacks += theirs.rollbacks;
+            mine.events_rolled_back += theirs.events_rolled_back;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,6 +283,27 @@ mod tests {
         assert_eq!(a.events_processed, 12);
         assert_eq!(a.app_messages, 3);
         assert_eq!(a.final_gvt, VTime::INF);
+    }
+
+    #[test]
+    fn fold_forks_zeroed_children_and_joins_per_lp_sums() {
+        let mut root = StatsFold::new(2);
+        root.batch_executed(0, VTime(1), 2);
+        let mut child = root.fork();
+        assert_eq!(child.stats, KernelStats::default());
+        assert_eq!(child.lps, vec![LpCounters::default(); 2]);
+        child.batch_executed(0, VTime(2), 3);
+        child.rollback_begun(1, RollbackKind::Secondary, VTime(5), VTime(2));
+        child.rollback_ended(1, VTime(2), 4, 1);
+        root.join(child);
+        assert_eq!(root.stats.batches_executed, 2);
+        assert_eq!(root.lps[0].events_processed, 5);
+        assert_eq!(
+            root.lps[1],
+            LpCounters { events_processed: 0, rollbacks: 1, events_rolled_back: 4 }
+        );
+        assert_eq!(root.stats.secondary_rollbacks, 1);
+        assert_eq!(root.stats.events_coasted, 1);
     }
 
     #[test]

@@ -38,14 +38,14 @@ use crate::event::{Event, LpId, Transmission};
 use crate::lp::LpRuntime;
 use crate::pool::IdHashMap;
 use crate::probe::Probe;
-use crate::sim::{Outcome, RunReport};
-use crate::stats::{KernelStats, LpCounters};
+use crate::sim::Outcome;
+use crate::stats::Counted;
 use crate::time::VTime;
 
-/// What one cluster thread returns: its id, its statistics, the final
-/// states and counters of its LPs, and its child probe.
-type ClusterOutcome<A, P> =
-    (usize, KernelStats, Vec<(LpId, <A as Application>::State, LpCounters)>, P);
+/// What one cluster thread returns: its id, the final states of its LPs,
+/// and its child probe (its own counter fold teed with its child of the
+/// caller's probe).
+type ClusterOutcome<A, P> = (usize, Vec<(LpId, <A as Application>::State)>, Counted<P>);
 
 /// A batch of transmissions — the unit that travels on inter-cluster
 /// channels.
@@ -57,10 +57,8 @@ type TxBatch<M> = Vec<Transmission<M>>;
 /// means a stray iteration can never reintroduce run-to-run divergence.
 type LpTable<A> = IdHashMap<LpId, LpRuntime<A>>;
 
-/// One migrating LP in a handoff buffer: its id, its runtime, and the
-/// cumulative counter snapshot the destination's window tracker resumes
-/// from.
-type Mover<A> = (LpId, LpRuntime<A>, LpCounters);
+/// One migrating LP in a handoff buffer: its id and its runtime.
+type Mover<A> = (LpId, LpRuntime<A>);
 
 /// Shared dynamic load-balancing state: the merged per-window statistics,
 /// the plan agreed by cluster 0, and per-destination handoff buffers for
@@ -95,9 +93,9 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
     assignment: &[u32],
     clusters: usize,
     cfg: &KernelConfig,
-    probe: &mut P,
+    probe: &mut Counted<P>,
     mut dynlb: Option<&mut DynLb>,
-) -> RunReport<A> {
+) -> (Vec<A::State>, Outcome) {
     assert_eq!(assignment.len(), app.num_lps());
     assert!(clusters >= 1);
     assert!(assignment.iter().all(|&c| (c as usize) < clusters));
@@ -183,25 +181,17 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
     // Merge in cluster-id order — deterministic regardless of which thread
     // finished first.
     joined.sort_by_key(|(cid, ..)| *cid);
-    let mut stats = KernelStats::default();
     let mut states: Vec<Option<A::State>> = (0..app.num_lps()).map(|_| None).collect();
-    let mut lp_stats: Vec<LpCounters> = vec![LpCounters::default(); app.num_lps()];
-    for (_cid, s, lp_states, child) in joined {
-        stats.merge(&s);
-        for (id, st, counters) in lp_states {
+    for (_cid, lp_states, child) in joined {
+        for (id, st) in lp_states {
             states[id as usize] = Some(st);
-            lp_stats[id as usize] = counters;
         }
         probe.join(child);
     }
-    stats.final_gvt = VTime::INF;
-    RunReport {
-        stats,
-        states: states.into_iter().map(|s| s.expect("every LP reported")).collect(),
-        lp_stats,
-        outcome: Outcome::Threaded { wall },
-        telemetry: None,
-    }
+    (
+        states.into_iter().map(|s| s.expect("every LP reported")).collect(),
+        Outcome::Threaded { wall },
+    )
 }
 
 /// Route everything in `outbox`: local → direct insert (cascading
@@ -219,8 +209,7 @@ fn route<A: Application, P: Probe>(
     senders: &[Sender<TxBatch<A::Msg>>],
     assignment: &[u32],
     app: &A,
-    stats: &mut KernelStats,
-    probe: &mut P,
+    probe: &mut Counted<P>,
     mut tracker: Option<&mut WindowTracker>,
 ) -> u64 {
     let mut routed = 0;
@@ -230,16 +219,11 @@ fn route<A: Application, P: Probe>(
         if dc == cid {
             let lp = table.get_mut(&dst).expect("local LP");
             let mut sub = Vec::new();
-            lp.receive(app, tx, stats, &mut sub, probe);
+            lp.receive(app, tx, &mut sub, probe);
             outbox.append(&mut sub);
         } else {
-            if tx.is_positive() {
-                stats.app_messages += 1;
-                if let Some(tr) = tracker.as_deref_mut() {
-                    tr.record_comm(tx.id().src, dst);
-                }
-            } else {
-                stats.anti_messages_remote += 1;
+            if let Some(tr) = tracker.as_deref_mut().filter(|_| tx.is_positive()) {
+                tr.record_comm(tx.id().src, dst);
             }
             probe.remote_message(tx.is_positive(), tx.recv_time());
             routed += 1;
@@ -248,7 +232,7 @@ fn route<A: Application, P: Probe>(
     }
     for (dc, buf) in out_bufs.iter_mut().enumerate() {
         if !buf.is_empty() {
-            stats.comm_batches += 1;
+            probe.a.stats.comm_batches += 1;
             senders[dc].send(std::mem::take(buf)).expect("cluster receiver alive");
         }
     }
@@ -267,11 +251,9 @@ fn cluster_main<A: Application, P: Probe>(
     assignment: &[u32],
     cfg: &KernelConfig,
     lb: Option<&LbShared<'_, A>>,
-    mut probe: P,
+    mut probe: Counted<P>,
     started: std::time::Instant,
 ) -> ClusterOutcome<A, P> {
-    let mut stats =
-        KernelStats { replicated_gates: app.replicated_units(), ..KernelStats::default() };
     let mut outbox: Vec<Transmission<A::Msg>> = Vec::new();
     // Per-destination coalescing buffers, reused across routing passes.
     let mut out_bufs: Vec<TxBatch<A::Msg>> = (0..senders.len()).map(|_| Vec::new()).collect();
@@ -308,7 +290,7 @@ fn cluster_main<A: Application, P: Probe>(
                 let dst = tx.dst();
                 debug_assert_eq!(assignment[dst as usize] as usize, cid);
                 let lp = table.get_mut(&dst).expect("local LP");
-                lp.receive(app, tx, &mut stats, &mut outbox, &mut probe);
+                lp.receive(app, tx, &mut outbox, &mut probe);
             }
             route::<A, P>(
                 cid,
@@ -318,7 +300,6 @@ fn cluster_main<A: Application, P: Probe>(
                 &senders,
                 &assignment,
                 app,
-                &mut stats,
                 &mut probe,
                 tracker.as_mut(),
             );
@@ -343,15 +324,12 @@ fn cluster_main<A: Application, P: Probe>(
                 &mut outbox,
                 &mut out_bufs,
                 shared,
-                &mut stats,
                 &mut probe,
                 tracker.as_mut(),
             );
-            stats.gvt_rounds += 1;
             let held: u64 = local_ids.iter().map(|id| table[id].state_queue_len() as u64).sum();
-            stats.state_queue_high_water = stats.state_queue_high_water.max(held);
             for id in &local_ids {
-                table.get_mut(id).unwrap().fossil_collect(gvt, &mut stats, &mut probe);
+                table.get_mut(id).unwrap().fossil_collect(gvt, &mut probe);
             }
             let pending: u64 = local_ids.iter().map(|id| table[id].pending_len() as u64).sum();
             probe.gvt_advanced(gvt, held, pending, started.elapsed().as_nanos() as u64);
@@ -364,15 +342,19 @@ fn cluster_main<A: Application, P: Probe>(
             // barriers below stay matched.
             let mut migrated_in = false;
             if let Some(lbs) = lb {
-                if !gvt.is_inf() && stats.gvt_rounds.is_multiple_of(lbs.cfg.period.max(1)) {
+                if !gvt.is_inf() && probe.a.stats.gvt_rounds.is_multiple_of(lbs.cfg.period.max(1)) {
                     let tracker = tracker.as_mut().expect("tracker exists when balancing");
                     // Phase 1: contribute this cluster's slice of the
-                    // window (disjoint LP slots; traffic maps add).
+                    // window (disjoint LP slots; traffic maps add). The
+                    // diff reads this cluster's fold, which is exact: every
+                    // local LP is diffed right before any migration, so an
+                    // LP's counts on each cluster it visits stay in step
+                    // with that cluster's tracker.
                     {
                         let mut window = lbs.window.lock().unwrap();
                         window.gvt = gvt;
                         for &id in &local_ids {
-                            window.lps[id as usize] = tracker.diff(id, table[&id].own_stats());
+                            window.lps[id as usize] = tracker.diff(id, probe.a.lps[id as usize]);
                         }
                         for (k, v) in tracker.take_comm() {
                             *window.comm.entry(k).or_insert(0) += v;
@@ -382,10 +364,10 @@ fn cluster_main<A: Application, P: Probe>(
                     // Phase 2: cluster 0 plans from the merged window. Any
                     // cluster's assignment copy would do — they are
                     // identical by construction.
-                    stats.lb_rounds += 1;
+                    probe.a.stats.lb_rounds += 1;
                     if cid == 0 {
                         let mut window = lbs.window.lock().unwrap();
-                        window.round = stats.lb_rounds;
+                        window.round = probe.a.stats.lb_rounds;
                         let plan = lbs.balancer.lock().unwrap().plan(
                             &window,
                             &assignment,
@@ -397,9 +379,8 @@ fn cluster_main<A: Application, P: Probe>(
                     }
                     shared.barrier.wait();
                     // Phase 3: every cluster applies the same plan to its
-                    // own routing table; sources hand their LP runtimes
-                    // (plus window snapshots, so the receiver's next diff
-                    // stays correct) to the destination's movers buffer.
+                    // own routing table; sources hand their LP runtimes to
+                    // the destination's movers buffer.
                     {
                         let plan = lbs.plan.lock().unwrap();
                         for mv in plan.iter() {
@@ -416,14 +397,8 @@ fn cluster_main<A: Application, P: Probe>(
                                     * std::mem::size_of::<Event<A::Msg>>() as u64
                                     + (lp.state_queue_len() as u64 + 1)
                                         * std::mem::size_of::<A::State>() as u64;
-                                stats.migrations += 1;
-                                stats.migrated_state_bytes += bytes;
                                 probe.lp_migrated(mv.lp, mv.from, mv.to, gvt, bytes);
-                                lbs.movers[mv.to as usize].lock().unwrap().push((
-                                    mv.lp,
-                                    lp,
-                                    tracker.snapshot(mv.lp),
-                                ));
+                                lbs.movers[mv.to as usize].lock().unwrap().push((mv.lp, lp));
                             }
                         }
                     }
@@ -434,8 +409,7 @@ fn cluster_main<A: Application, P: Probe>(
                     // LP just waits in the owner's channel.
                     {
                         let mut arrivals = lbs.movers[cid].lock().unwrap();
-                        for (id, lp, snap) in arrivals.drain(..) {
-                            tracker.install(id, snap);
+                        for (id, lp) in arrivals.drain(..) {
                             table.insert(id, lp);
                             local_ids.push(id);
                             migrated_in = true;
@@ -474,7 +448,7 @@ fn cluster_main<A: Application, P: Probe>(
         match best {
             Some((t, id)) if t <= horizon => {
                 let lp = table.get_mut(&id).expect("local LP");
-                lp.execute_next(app, &mut stats, &mut outbox, &mut probe);
+                lp.execute_next(app, &mut outbox, &mut probe);
                 batches_since_gvt += 1;
                 route::<A, P>(
                     cid,
@@ -484,7 +458,6 @@ fn cluster_main<A: Application, P: Probe>(
                     &senders,
                     &assignment,
                     app,
-                    &mut stats,
                     &mut probe,
                     tracker.as_mut(),
                 );
@@ -497,15 +470,11 @@ fn cluster_main<A: Application, P: Probe>(
         }
     }
 
-    let states: Vec<(LpId, A::State, LpCounters)> = local_ids
+    let states: Vec<(LpId, A::State)> = local_ids
         .into_iter()
-        .map(|id| {
-            let lp = table.remove(&id).expect("local LP");
-            let counters = lp.own_stats();
-            (id, lp.into_state(), counters)
-        })
+        .map(|id| (id, table.remove(&id).expect("local LP").into_state()))
         .collect();
-    (cid, stats, states, probe)
+    (cid, states, probe)
 }
 
 /// One synchronized GVT round. All clusters call this together (guaranteed
@@ -528,8 +497,7 @@ fn gvt_round<A: Application, P: Probe>(
     outbox: &mut Vec<Transmission<A::Msg>>,
     out_bufs: &mut [TxBatch<A::Msg>],
     shared: &GvtShared,
-    stats: &mut KernelStats,
-    probe: &mut P,
+    probe: &mut Counted<P>,
     mut tracker: Option<&mut WindowTracker>,
 ) -> VTime {
     shared.barrier.wait();
@@ -539,7 +507,7 @@ fn gvt_round<A: Application, P: Probe>(
             for tx in batch {
                 let dst = tx.dst();
                 let lp = table.get_mut(&dst).expect("local LP");
-                lp.receive(app, tx, stats, outbox, probe);
+                lp.receive(app, tx, outbox, probe);
             }
             routed += route::<A, P>(
                 cid,
@@ -549,7 +517,6 @@ fn gvt_round<A: Application, P: Probe>(
                 senders,
                 assignment,
                 app,
-                stats,
                 probe,
                 tracker.as_deref_mut(),
             );
@@ -585,7 +552,7 @@ fn gvt_round<A: Application, P: Probe>(
 mod tests {
     use super::*;
     use crate::app::EventSink;
-    use crate::sim::{Backend, Simulator};
+    use crate::sim::{Backend, RunReport, Simulator};
 
     /// The same jittered token ring used by the platform tests.
     struct Ring {

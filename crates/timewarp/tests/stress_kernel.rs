@@ -9,8 +9,8 @@
 
 use pls_timewarp::lp::LpRuntime;
 use pls_timewarp::{
-    AntiEvent, Application, Cancellation, Event, EventId, EventSink, KernelConfig, KernelStats,
-    LpId, NoProbe, Transmission, VTime,
+    AntiEvent, Application, Cancellation, Event, EventId, EventSink, KernelConfig, LpId, Probe,
+    RollbackKind, Transmission, VTime,
 };
 
 /// splitmix64 — drives the schedule generation deterministically.
@@ -164,6 +164,35 @@ struct Coverage {
     coasted: u64,
 }
 
+/// The kernel's own account of the protocol decisions, read off the probe
+/// stream the runtime emits.
+#[derive(Default)]
+struct Counts {
+    primary: u64,
+    secondary: u64,
+    annihilated: u64,
+    coasted: u64,
+}
+
+impl Probe for Counts {
+    fn rollback_begun(&mut self, _lp: LpId, kind: RollbackKind, _from: VTime, _to: VTime) {
+        match kind {
+            RollbackKind::Primary => self.primary += 1,
+            RollbackKind::Secondary => self.secondary += 1,
+        }
+    }
+    fn rollback_ended(&mut self, _lp: LpId, _to: VTime, _undone: u64, coasted: u64) {
+        self.coasted += coasted;
+    }
+    fn annihilated(&mut self, _lp: LpId, _at: VTime) {
+        self.annihilated += 1;
+    }
+    fn fork(&mut self) -> Counts {
+        Counts::default()
+    }
+    fn join(&mut self, _child: Counts) {}
+}
+
 fn run_schedule(
     seed: u64,
     steps: usize,
@@ -178,9 +207,8 @@ fn run_schedule(
     assert!(init.is_empty(), "Sponge seeds no events");
 
     let mut reference = Reference::default();
-    let mut stats = KernelStats::default();
     let mut outbox: Vec<Transmission<u64>> = Vec::new();
-    let mut probe = NoProbe;
+    let mut counts = Counts::default();
 
     let mut rng = seed;
     // Per-sender sequence counters (senders 1..=3).
@@ -212,7 +240,7 @@ fn run_schedule(
                 let ev = fresh(&mut rng, &mut seqs);
                 live.push(ev.clone());
                 reference.receive_positive(ev.clone());
-                lp.receive(&app, Transmission::Positive(ev), &mut stats, &mut outbox, &mut probe);
+                lp.receive(&app, Transmission::Positive(ev), &mut outbox, &mut counts);
             }
             // Anti-message for a random live positive: hits the pending or
             // the processed (secondary rollback) path depending on whether
@@ -224,7 +252,7 @@ fn run_schedule(
                 let k = (mix(&mut rng) % live.len() as u64) as usize;
                 let anti = live.swap_remove(k).anti();
                 reference.receive_anti(anti);
-                lp.receive(&app, Transmission::Anti(anti), &mut stats, &mut outbox, &mut probe);
+                lp.receive(&app, Transmission::Anti(anti), &mut outbox, &mut counts);
             }
             // Anti-message *before* its positive (orphan path): generate an
             // event, deliver only the anti, stash the positive.
@@ -234,7 +262,7 @@ fn run_schedule(
                 stashed.push(ev);
                 cov.orphaned += 1;
                 reference.receive_anti(anti);
-                lp.receive(&app, Transmission::Anti(anti), &mut stats, &mut outbox, &mut probe);
+                lp.receive(&app, Transmission::Anti(anti), &mut outbox, &mut counts);
             }
             // Deliver a stashed positive onto its waiting orphan anti.
             7 => {
@@ -244,7 +272,7 @@ fn run_schedule(
                 let k = (mix(&mut rng) % stashed.len() as u64) as usize;
                 let ev = stashed.swap_remove(k);
                 reference.receive_positive(ev.clone());
-                lp.receive(&app, Transmission::Positive(ev), &mut stats, &mut outbox, &mut probe);
+                lp.receive(&app, Transmission::Positive(ev), &mut outbox, &mut counts);
             }
             // Execute the earliest pending batch.
             _ => {
@@ -252,7 +280,7 @@ fn run_schedule(
                     continue;
                 }
                 reference.execute_next();
-                lp.execute_next(&app, &mut stats, &mut outbox, &mut probe);
+                lp.execute_next(&app, &mut outbox, &mut counts);
             }
         }
 
@@ -261,12 +289,9 @@ fn run_schedule(
         assert_eq!(lp.pending_len(), reference.pending.len(), "seed {seed}: pending");
         assert_eq!(lp.orphan_antis_len(), reference.orphans.len(), "seed {seed}: orphans");
         assert_eq!(lp.lvt(), reference.lvt, "seed {seed}: lvt");
-        assert_eq!(stats.annihilated_pending, reference.annihilated, "seed {seed}: annihilations");
-        assert_eq!(stats.primary_rollbacks, reference.primary_rollbacks, "seed {seed}: primary");
-        assert_eq!(
-            stats.secondary_rollbacks, reference.secondary_rollbacks,
-            "seed {seed}: secondary"
-        );
+        assert_eq!(counts.annihilated, reference.annihilated, "seed {seed}: annihilations");
+        assert_eq!(counts.primary, reference.primary_rollbacks, "seed {seed}: primary");
+        assert_eq!(counts.secondary, reference.secondary_rollbacks, "seed {seed}: secondary");
         assert_eq!(*lp.state(), reference.state(), "seed {seed}: state hash diverged");
     }
 
@@ -274,17 +299,17 @@ fn run_schedule(
     // must agree (order-sensitive hash ⇒ same events in the same order).
     while !lp.next_time().is_inf() {
         reference.execute_next();
-        lp.execute_next(&app, &mut stats, &mut outbox, &mut probe);
+        lp.execute_next(&app, &mut outbox, &mut counts);
         assert!(outbox.is_empty());
     }
     assert!(reference.pending.is_empty(), "seed {seed}: reference kept events the kernel drained");
     assert_eq!(*lp.state(), reference.state(), "seed {seed}: final state");
     assert_eq!(lp.orphan_antis_len(), reference.orphans.len(), "seed {seed}: final orphans");
 
-    cov.primary += stats.primary_rollbacks;
-    cov.secondary += stats.secondary_rollbacks;
-    cov.annihilated += stats.annihilated_pending;
-    cov.coasted += stats.events_coasted;
+    cov.primary += counts.primary;
+    cov.secondary += counts.secondary;
+    cov.annihilated += counts.annihilated;
+    cov.coasted += counts.coasted;
 }
 
 #[test]

@@ -16,6 +16,9 @@ run() {
 
 if [[ "$FAST" -eq 0 ]]; then
   run cargo build --workspace --release
+  # perfbench/ is its own package, outside the workspace: build it so a
+  # kernel API change cannot break the benchmark unseen.
+  run cargo build --release --offline --manifest-path perfbench/Cargo.toml
 fi
 run cargo build --workspace --benches --tests --examples
 run cargo test -q --workspace

@@ -296,8 +296,9 @@ fn exec_of(rest: &[String]) -> ExecModel {
 }
 
 /// Parse `--faults SPEC` (with `--fault-seed N`, default 0) into a
-/// [`FaultPlan`]; exits with the parse error on a bad spec.
-fn faults_of(rest: &[String]) -> Option<FaultPlan> {
+/// [`FaultPlan`] for `nodes` nodes; exits with the error on a bad spec or
+/// one that names a missing node.
+fn faults_of(rest: &[String], nodes: usize) -> Option<FaultPlan> {
     let spec = flag(rest, "--faults")?;
     let seed: u64 = match flag(rest, "--fault-seed") {
         None => 0,
@@ -306,7 +307,7 @@ fn faults_of(rest: &[String]) -> Option<FaultPlan> {
             exit(2);
         }),
     };
-    match FaultPlan::parse(spec, seed) {
+    match FaultPlan::parse(spec, seed).and_then(|plan| plan.check_nodes(nodes).map(|()| plan)) {
         Ok(plan) => Some(plan),
         Err(e) => {
             eprintln!("bad --faults spec: {e}");
@@ -329,11 +330,11 @@ fn cmd_simulate(rest: &[String]) {
     if rest.iter().any(|a| a == "--replicate") {
         cfg.replication = Some(ReplicationConfig::default());
     }
-    cfg.faults = faults_of(rest);
-    let seq = run_seq_baseline(&netlist, &cfg);
-    out!("sequential: {} events, {:.3} modeled s", seq.events, seq.exec_time_s);
+    cfg.faults = faults_of(rest, k);
     let trace_path = flag(rest, "--trace");
     let bucket = trace_path.map(|_| bucket_of(rest, end));
+    let seq = run_seq_baseline(&netlist, &cfg);
+    out!("sequential: {} events, {:.3} modeled s", seq.events, seq.exec_time_s);
     let part = strategy.partition(&graph, k, 0);
     let mut cell = Cell::new(&netlist, &graph, &cfg).nodes(k);
     if let Some(w) = bucket {

@@ -191,6 +191,22 @@ fn faults_are_inert_on_sequential_and_threaded_executives() {
 }
 
 #[test]
+fn fault_plan_naming_a_missing_node_is_rejected() {
+    // A clause for node 9 on a 2-node platform is a configuration error,
+    // not a healthy run with the clause silently dropped.
+    let netlist = IscasSynth::small(100, 3).build();
+    let cfg = SimConfig { end_time: 80, ..Default::default() };
+    let app = cfg.build_app(&netlist);
+    let assignment = arbitrary_assignment(netlist.len(), 2, 1);
+    let plan = FaultPlan::parse("drop:9:300", 0).unwrap();
+    let err = Simulator::new(&app)
+        .fault_plan(plan)
+        .run(Backend::Platform { assignment: &assignment, nodes: 2 })
+        .unwrap_err();
+    assert!(matches!(&err, SimError::InvalidConfig(msg) if msg.contains("node 9")), "{err}");
+}
+
+#[test]
 fn faults_compose_with_compiled_blocks_and_dynlb() {
     // The full stack at once: compiled gate blocks, dynamic load
     // balancing routing LPs off the sick node, and a nasty fault plan.

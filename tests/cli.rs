@@ -105,6 +105,24 @@ fn simulate_rejects_unknown_exec_model() {
 }
 
 #[test]
+fn simulate_rejects_bad_flags_before_running() {
+    // Both checks must fire before the sequential baseline runs: exit 2
+    // and nothing on stdout.
+    for args in [
+        &["simulate", "s27", "-k", "2", "--faults", "drop:9:300"][..],
+        &["simulate", "s27", "-k", "2", "--trace", "unused.jsonl", "--bucket", "0"][..],
+    ] {
+        let out = cli().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "`parlogsim {}`", args.join(" "));
+        assert!(out.stdout.is_empty(), "ran before rejecting: {}", args.join(" "));
+    }
+    let out =
+        cli().args(["simulate", "s27", "-k", "2", "--faults", "drop:9:300"]).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("node 9"), "{err}");
+}
+
+#[test]
 fn simulate_trace_writes_jsonl_series() {
     let dir = std::env::temp_dir().join("parlogsim_cli_trace_test");
     std::fs::create_dir_all(&dir).unwrap();

@@ -7,6 +7,7 @@
 //! timings), the determinism oracle for the platform model itself.
 
 use parlogsim::prelude::*;
+use parlogsim::timewarp::LpCounters;
 
 /// splitmix64 — drives the case sweeps deterministically.
 fn mix(x: &mut u64) -> u64 {
@@ -167,6 +168,16 @@ fn lazy_sparse_checkpoints_agree_across_all_three_executives() {
     }
 }
 
+/// Per-LP counters must sum to the aggregate ones: both are the fold of
+/// the same probe stream, even when migration splits an LP's counts
+/// across cluster folds.
+fn assert_lp_stats_reconcile<A: Application>(r: &RunReport<A>, tag: &str) {
+    let sum = |f: fn(&LpCounters) -> u64| r.lp_stats.iter().map(f).sum::<u64>();
+    assert_eq!(sum(|c| c.events_processed), r.stats.events_processed, "{tag}: events_processed");
+    assert_eq!(sum(|c| c.rollbacks), r.stats.rollbacks(), "{tag}: rollbacks");
+    assert_eq!(sum(|c| c.events_rolled_back), r.stats.events_rolled_back, "{tag}: rolled_back");
+}
+
 #[test]
 fn migration_never_changes_the_committed_history() {
     // Dynamic load balancing sweep: arbitrary circuits, placements and
@@ -175,6 +186,7 @@ fn migration_never_changes_the_committed_history() {
     // optimistic executives, and the platform executive must stay
     // byte-reproducible run-to-run with the balancer active.
     let mut s = 60u64;
+    let mut threaded_migrations = 0;
     for round in 0..8 {
         let gates = (40 + mix(&mut s) % 140) as usize;
         let circuit_seed = mix(&mut s) % 400;
@@ -187,6 +199,7 @@ fn migration_never_changes_the_committed_history() {
         let app = cfg.build_app(&netlist);
         let seq = Simulator::new(&app).run(Backend::Sequential).unwrap();
         let want = app.fingerprint(&seq.states);
+        assert_lp_stats_reconcile(&seq, "sequential");
 
         let mut platform = cfg.platform;
         platform.kernel.gvt_period = 8; // frequent GVT → many balance points
@@ -202,6 +215,7 @@ fn migration_never_changes_the_committed_history() {
         let plat = run_plat();
         assert_eq!(app.fingerprint(&plat.states), want, "platform+dynlb diverged");
         assert_eq!(plat.stats.events_committed, seq.stats.events_processed);
+        assert_lp_stats_reconcile(&plat, "platform+dynlb");
         let again = run_plat();
         assert_eq!(again.stats, plat.stats, "platform+dynlb not reproducible");
         assert_eq!(again.outcome.node_clocks_ns(), plat.outcome.node_clocks_ns());
@@ -213,6 +227,8 @@ fn migration_never_changes_the_committed_history() {
             .unwrap();
         assert_eq!(app.fingerprint(&thr.states), want, "threaded+dynlb diverged");
         assert_eq!(thr.stats.events_committed, seq.stats.events_processed);
+        assert_lp_stats_reconcile(&thr, "threaded+dynlb");
+        threaded_migrations += thr.stats.migrations;
 
         // At least some sweep rounds must actually migrate, or this test
         // proves nothing; round-robin through a few it always triggers.
@@ -223,6 +239,7 @@ fn migration_never_changes_the_committed_history() {
             );
         }
     }
+    assert!(threaded_migrations > 0, "no threaded run migrated: per-LP reconciliation untested");
 }
 
 #[test]
