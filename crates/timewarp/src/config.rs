@@ -1,5 +1,7 @@
 //! Kernel configuration knobs.
 
+use crate::time::VTime;
+
 /// A configuration value the builders refuse to accept.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
@@ -88,6 +90,15 @@ impl KernelConfig {
             self.gvt_period = 1;
         }
         self
+    }
+
+    /// The optimism horizon after a GVT round agreed on `gvt`: the latest
+    /// receive time an LP may execute (unbounded without a window).
+    pub(crate) fn horizon(&self, gvt: VTime) -> VTime {
+        match self.window {
+            Some(w) => gvt.after(w),
+            None => VTime::INF,
+        }
     }
 
     /// Start a validated builder (preferred over struct literals: invalid

@@ -35,6 +35,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::app::Application;
 use crate::event::LpId;
 use crate::stats::LpCounters;
 use crate::time::VTime;
@@ -253,15 +254,35 @@ impl std::fmt::Debug for DynLb {
     }
 }
 
+/// The LPs the model forbids migrating, as a mask over LP ids: replica
+/// LPs, since moving one would reintroduce the boundary traffic it exists
+/// to remove ([`Application::pinned_lps`]).
+pub(crate) fn pinned_mask<A: Application>(app: &A) -> Vec<bool> {
+    let mut pinned = vec![false; app.num_lps()];
+    for lp in app.pinned_lps() {
+        if let Some(slot) = pinned.get_mut(lp as usize) {
+            *slot = true;
+        }
+    }
+    pinned
+}
+
 /// Validity filter the executives apply to plan entries, so a buggy or
-/// adversarial policy cannot corrupt routing state. Deterministic, and
-/// identical on every cluster of the threaded executive (all clusters see
-/// the same plan and the same assignment copy).
-pub(crate) fn move_is_valid(mv: &Migration, assignment: &[u32], parts: usize) -> bool {
+/// adversarial policy cannot corrupt routing state or move a pinned LP.
+/// Deterministic, and identical on every cluster of the threaded
+/// executive (all clusters see the same plan and the same assignment
+/// copy).
+pub(crate) fn move_is_valid(
+    mv: &Migration,
+    assignment: &[u32],
+    parts: usize,
+    pinned: &[bool],
+) -> bool {
     (mv.lp as usize) < assignment.len()
         && (mv.to as usize) < parts
         && mv.from != mv.to
         && assignment[mv.lp as usize] == mv.from
+        && !pinned[mv.lp as usize]
 }
 
 #[cfg(test)]
@@ -349,10 +370,15 @@ mod tests {
     #[test]
     fn move_validity_filter() {
         let asg = vec![0, 1, 1];
-        assert!(move_is_valid(&Migration { lp: 0, from: 0, to: 1 }, &asg, 2));
-        assert!(!move_is_valid(&Migration { lp: 0, from: 1, to: 0 }, &asg, 2), "stale from");
-        assert!(!move_is_valid(&Migration { lp: 1, from: 1, to: 1 }, &asg, 2), "self move");
-        assert!(!move_is_valid(&Migration { lp: 1, from: 1, to: 5 }, &asg, 2), "bad target");
-        assert!(!move_is_valid(&Migration { lp: 9, from: 0, to: 1 }, &asg, 2), "bad lp");
+        let free = [false; 3];
+        let ok = |lp, from, to, pinned: &[bool]| {
+            move_is_valid(&Migration { lp, from, to }, &asg, 2, pinned)
+        };
+        assert!(ok(0, 0, 1, &free));
+        assert!(!ok(0, 1, 0, &free), "stale from");
+        assert!(!ok(1, 1, 1, &free), "self move");
+        assert!(!ok(1, 1, 5, &free), "bad target");
+        assert!(!ok(9, 0, 1, &free), "bad lp");
+        assert!(!ok(0, 0, 1, &[true, false, false]), "pinned lp");
     }
 }

@@ -38,6 +38,7 @@ pub mod phold;
 pub mod platform;
 pub mod pool;
 pub mod probe;
+mod ready;
 pub mod sequential;
 pub mod series;
 pub mod sim;

@@ -184,6 +184,13 @@ impl<A: Application> LpRuntime<A> {
         self.orphan_antis.len()
     }
 
+    /// Bytes this LP's closure occupies when it migrates at GVT commit:
+    /// every pending event, every surviving checkpoint and the live state.
+    pub(crate) fn closure_bytes(&self) -> u64 {
+        self.pending_len() as u64 * std::mem::size_of::<Event<A::Msg>>() as u64
+            + (self.state_queue_len() as u64 + 1) * std::mem::size_of::<A::State>() as u64
+    }
+
     fn make_event(&mut self, dst: LpId, send: VTime, recv: VTime, msg: A::Msg) -> Event<A::Msg> {
         let id = EventId { src: self.id, seq: self.out_seq };
         self.out_seq += 1;

@@ -22,10 +22,11 @@ use crate::app::Application;
 use crate::chaos::{ChaosRuntime, ChaosStep, FaultPlan};
 use crate::config::{ConfigError, KernelConfig};
 use crate::cost::CostModel;
-use crate::dynlb::{move_is_valid, DynLb, WindowStats, WindowTracker};
-use crate::event::{Event, LpId, Transmission};
+use crate::dynlb::{move_is_valid, pinned_mask, DynLb, WindowStats, WindowTracker};
+use crate::event::{LpId, Transmission};
 use crate::lp::LpRuntime;
 use crate::probe::Probe;
+use crate::ready::ReadyQueue;
 use crate::sim::{Outcome, SimError};
 use crate::stats::Counted;
 use crate::time::VTime;
@@ -99,10 +100,9 @@ impl PlatformConfigBuilder {
 /// One simulated workstation.
 struct Node {
     clock_ns: u64,
-    /// Lazy min-heap over `(next_time, lp)`; entries are re-pushed on every
-    /// queue change and validated on pop.
-    ready: BinaryHeap<Reverse<(VTime, LpId)>>,
-    batches: u64,
+    /// The node's local LPs by next event time; an entry is stale once its
+    /// time is outdated or its LP has migrated off this node.
+    ready: ReadyQueue,
 }
 
 /// In-flight network message.
@@ -126,21 +126,6 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
     mut dynlb: Option<&mut DynLb>,
     chaos_plan: Option<&FaultPlan>,
 ) -> Result<(Vec<A::State>, Outcome), SimError> {
-    if assignment.len() != app.num_lps() {
-        return Err(SimError::InvalidConfig(format!(
-            "assignment covers {} LPs but the application has {}",
-            assignment.len(),
-            app.num_lps()
-        )));
-    }
-    if nodes == 0 {
-        return Err(SimError::InvalidConfig("node count must be >= 1".into()));
-    }
-    if let Some(&bad) = assignment.iter().find(|&&n| (n as usize) >= nodes) {
-        return Err(SimError::InvalidConfig(format!(
-            "assignment targets node {bad} but only {nodes} nodes exist"
-        )));
-    }
     if let Some(plan) = chaos_plan {
         plan.check_nodes(nodes).map_err(SimError::InvalidConfig)?;
     }
@@ -163,15 +148,7 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
     let mut tracker = dynlb.as_ref().map(|_| WindowTracker::new(app.num_lps()));
 
     let mut outbox: Vec<Transmission<A::Msg>> = Vec::new();
-
-    // LPs the model forbids migrating (replica LPs: moving one would
-    // reintroduce the boundary traffic it exists to remove).
-    let mut pinned = vec![false; app.num_lps()];
-    for lp in app.pinned_lps() {
-        if let Some(slot) = pinned.get_mut(lp as usize) {
-            *slot = true;
-        }
-    }
+    let pinned = pinned_mask(app);
 
     // Build LPs, collecting init events.
     let mut init_events = Vec::new();
@@ -180,7 +157,7 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
         .collect();
 
     let mut node_state: Vec<Node> =
-        (0..nodes).map(|_| Node { clock_ns: 0, ready: BinaryHeap::new(), batches: 0 }).collect();
+        (0..nodes).map(|_| Node { clock_ns: 0, ready: ReadyQueue::default() }).collect();
 
     // In-flight messages live in a slab; the wire heap orders them by
     // `(arrival, send sequence)` and carries the slot. Slots recycle
@@ -200,10 +177,9 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
         let dst = ev.dst;
         lps[dst as usize].receive(app, Transmission::Positive(ev), &mut outbox, probe);
         debug_assert!(outbox.is_empty(), "init events cannot roll anything back");
-        let nt = lps[dst as usize].next_time();
-        if !nt.is_inf() {
-            node_state[assignment[dst as usize] as usize].ready.push(Reverse((nt, dst)));
-        }
+        node_state[assignment[dst as usize] as usize]
+            .ready
+            .push(dst, lps[dst as usize].next_time());
     }
 
     let mut batches_since_gvt = 0u64;
@@ -260,10 +236,7 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                     // Local delivery is immediate; it may trigger a local
                     // (secondary) rollback whose antis land back in outbox.
                     lps[dst].receive(app, tx, &mut outbox, probe);
-                    let nt = lps[dst].next_time();
-                    if !nt.is_inf() {
-                        node_state[dst_node].ready.push(Reverse((nt, dst as LpId)));
-                    }
+                    node_state[dst_node].ready.push(dst as LpId, lps[dst].next_time());
                 } else {
                     if let Some(tr) = tracker.as_mut().filter(|_| tx.is_positive()) {
                         tr.record_comm(tx.id().src, tx.dst());
@@ -302,30 +275,24 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
     }
 
     loop {
-        // Validate the lazy heaps, then pick the busy node with the
-        // smallest clock (ties → lowest node id, for determinism). An
-        // entry is stale if its time is outdated *or* the LP has migrated
-        // off this node since the entry was pushed.
+        // Pick the node with the smallest clock whose next local batch is
+        // within the optimism horizon (ties → lowest node id, for
+        // determinism). `any_ready` notes work held back by the horizon.
+        let horizon = kernel.horizon(last_gvt);
+        let mut best: Option<(u64, usize, LpId)> = None;
+        let mut any_ready = false;
         for (i, ns) in node_state.iter_mut().enumerate() {
-            while let Some(&Reverse((t, lp))) = ns.ready.peek() {
-                if lps[lp as usize].next_time() == t && assignment[lp as usize] as usize == i {
-                    break;
-                }
-                ns.ready.pop();
+            let head = ns.ready.peek(|lp, t| {
+                lps[lp as usize].next_time() == t && assignment[lp as usize] as usize == i
+            });
+            let Some((t, lp)) = head else { continue };
+            any_ready = true;
+            if t <= horizon && best.is_none_or(|(clock, ..)| ns.clock_ns < clock) {
+                best = Some((ns.clock_ns, i, lp));
             }
         }
-        let horizon = match kernel.window {
-            Some(w) => last_gvt.after(w),
-            None => VTime::INF,
-        };
-        let best_node = node_state
-            .iter()
-            .enumerate()
-            .filter(|(_, ns)| ns.ready.peek().is_some_and(|&Reverse((t, _))| t <= horizon))
-            .min_by_key(|(i, ns)| (ns.clock_ns, *i))
-            .map(|(i, _)| i);
         let next_arrival = net.peek().map(|&Reverse((a, _, _))| a);
-        let exec_clock = best_node.map(|i| node_state[i].clock_ns);
+        let exec_clock = best.map(|(clock, ..)| clock);
 
         // Chaos agenda: while protocol work (unacked transmissions,
         // in-flight acks) remains it must drain even when nothing else
@@ -374,13 +341,12 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                 }
             }
         } else {
-            match (best_node, next_arrival) {
+            match (best, next_arrival) {
                 (None, None) => {
                     // No executable work. Either truly quiescent (done) or
                     // all remaining events sit beyond the optimism window —
                     // then a GVT round must advance the horizon.
-                    let throttled = node_state.iter().any(|ns| ns.ready.peek().is_some());
-                    if throttled {
+                    if any_ready {
                         force_gvt = true;
                     } else {
                         break; // quiescent: done
@@ -435,15 +401,11 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                                     + cost.event_exec_ns * (s.events_coasted - coasted)
                             );
                         }
-                        let nt = lps[dst].next_time();
-                        if !nt.is_inf() {
-                            node_state[dnode].ready.push(Reverse((nt, dst as LpId)));
-                        }
+                        node_state[dnode].ready.push(dst as LpId, lps[dst].next_time());
                         route_outbox!(dnode);
                     } else {
-                        let ni = exec.unwrap();
-                        let Reverse((t, lp)) = node_state[ni].ready.pop().unwrap();
-                        debug_assert_eq!(lps[lp as usize].next_time(), t);
+                        let (_, ni, lp) = exec.unwrap();
+                        node_state[ni].ready.pop();
                         let s = &probe.a.stats;
                         let (processed, saved) = (s.events_processed, s.states_saved);
                         lps[lp as usize].execute_next(app, &mut outbox, probe);
@@ -454,12 +416,8 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                                 + cost.event_exec_ns * (s.events_processed - processed)
                                 + cost.state_save_ns * (s.states_saved - saved)
                         );
-                        node_state[ni].batches += 1;
                         batches_since_gvt += 1;
-                        let nt = lps[lp as usize].next_time();
-                        if !nt.is_inf() {
-                            node_state[ni].ready.push(Reverse((nt, lp)));
-                        }
+                        node_state[ni].ready.push(lp, lps[lp as usize].next_time());
                         route_outbox!(ni);
                     }
                 }
@@ -560,7 +518,7 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                     window.round = probe.a.stats.lb_rounds;
                     let plan = lb.balancer.plan(&window, &assignment, nodes, &lb.cfg);
                     for mv in plan {
-                        if !move_is_valid(&mv, &assignment, nodes) || pinned[mv.lp as usize] {
+                        if !move_is_valid(&mv, &assignment, nodes, &pinned) {
                             continue;
                         }
                         let lp = mv.lp as usize;
@@ -571,8 +529,6 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                         // destination's ingress link: one for the live
                         // state, one per checkpoint, one per pending event.
                         let units = 1 + pending + held;
-                        let bytes = pending * std::mem::size_of::<Event<A::Msg>>() as u64
-                            + (held + 1) * std::mem::size_of::<A::State>() as u64;
                         charge!(src, cost.msg_send_ns * units);
                         let wire_at = node_state[src].clock_ns + cost.net_latency_ns;
                         let arrive = wire_at.max(link_free_ns[dst]) + cost.msg_wire_ns * units;
@@ -580,11 +536,8 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                         node_state[dst].clock_ns = node_state[dst].clock_ns.max(arrive);
                         charge!(dst, cost.msg_recv_ns * units);
                         assignment[lp] = mv.to;
-                        let nt = lps[lp].next_time();
-                        if !nt.is_inf() {
-                            node_state[dst].ready.push(Reverse((nt, mv.lp)));
-                        }
-                        probe.lp_migrated(mv.lp, mv.from, mv.to, gvt, bytes);
+                        node_state[dst].ready.push(mv.lp, lps[lp].next_time());
+                        probe.lp_migrated(mv.lp, mv.from, mv.to, gvt, lps[lp].closure_bytes());
                     }
                 }
             }

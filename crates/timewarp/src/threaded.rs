@@ -6,8 +6,12 @@
 //!
 //! This executive exists for machines with real parallel hardware; the
 //! experiment harness uses the deterministic [`crate::platform`] executive
-//! instead (measured wall-clock on an arbitrary CI box is noise, and the
-//! build machine for this reproduction has a single core).
+//! instead (measured wall-clock on an arbitrary CI box is noise).
+//!
+//! Scheduling: each cluster keeps its LPs in a dense table indexed by
+//! `LpId` and picks its next batch from the same lazy-deletion ready queue
+//! the platform executive uses per node, so choosing the lowest-timestamp
+//! local LP costs O(log n), not a scan of every local LP.
 //!
 //! Telemetry: the root probe is [`Probe::fork`]ed once per cluster, each
 //! cluster thread feeds its own child (no locking on the hot path), and
@@ -32,33 +36,30 @@ use std::sync::{Barrier, Mutex};
 use crate::app::Application;
 use crate::config::KernelConfig;
 use crate::dynlb::{
-    move_is_valid, DynLb, DynLbConfig, LoadBalancer, Migration, WindowStats, WindowTracker,
+    move_is_valid, pinned_mask, DynLb, DynLbConfig, LoadBalancer, Migration, WindowStats,
+    WindowTracker,
 };
-use crate::event::{Event, LpId, Transmission};
+use crate::event::{LpId, Transmission};
 use crate::lp::LpRuntime;
-use crate::pool::IdHashMap;
 use crate::probe::Probe;
+use crate::ready::ReadyQueue;
 use crate::sim::Outcome;
 use crate::stats::Counted;
 use crate::time::VTime;
 
-/// What one cluster thread returns: its id, the final states of its LPs,
-/// and its child probe (its own counter fold teed with its child of the
-/// caller's probe).
-type ClusterOutcome<A, P> = (usize, Vec<(LpId, <A as Application>::State)>, Counted<P>);
+/// What one cluster thread returns: the final states of its LPs and its
+/// child probe (its own counter fold teed with its child of the caller's
+/// probe).
+type ClusterOutcome<A, P> = (Vec<(LpId, <A as Application>::State)>, Counted<P>);
 
 /// A batch of transmissions — the unit that travels on inter-cluster
 /// channels.
 type TxBatch<M> = Vec<Transmission<M>>;
 
-/// A cluster's LP table. Keyed by the kernel's fixed-seed hasher, not
-/// `RandomState`: iteration order never reaches an observable (walks go
-/// through the sorted `local_ids`), but keeping the hasher seed-free
-/// means a stray iteration can never reintroduce run-to-run divergence.
-type LpTable<A> = IdHashMap<LpId, LpRuntime<A>>;
-
-/// One migrating LP in a handoff buffer: its id and its runtime.
-type Mover<A> = (LpId, LpRuntime<A>);
+/// A cluster's LPs, indexed by `LpId`; `None` marks an LP another cluster
+/// owns. Boxed so that each cluster's slot for a foreign LP costs one
+/// pointer, not a whole runtime.
+type LpSlots<A> = Vec<Option<Box<LpRuntime<A>>>>;
 
 /// Shared dynamic load-balancing state: the merged per-window statistics,
 /// the plan agreed by cluster 0, and per-destination handoff buffers for
@@ -68,9 +69,10 @@ type Mover<A> = (LpId, LpRuntime<A>);
 struct LbShared<'b, A: Application> {
     cfg: DynLbConfig,
     balancer: Mutex<&'b mut dyn LoadBalancer>,
+    pinned: Vec<bool>,
     window: Mutex<WindowStats>,
     plan: Mutex<Vec<Migration>>,
-    movers: Vec<Mutex<Vec<Mover<A>>>>,
+    movers: Vec<Mutex<Vec<Box<LpRuntime<A>>>>>,
 }
 
 /// Shared GVT coordination state.
@@ -86,6 +88,34 @@ struct GvtShared {
     gvt: AtomicU64,
 }
 
+/// One cluster's own state: its LPs, the ready queue over them, its copy
+/// of the routing table, and the buffers routing reuses.
+struct Cluster<A: Application> {
+    cid: usize,
+    lps: LpSlots<A>,
+    ready: ReadyQueue,
+    /// Dynamic load balancing rewrites the routing table at GVT commit;
+    /// every cluster applies the agreed plan to its own copy inside the
+    /// barrier region, so all copies stay identical.
+    assignment: Vec<u32>,
+    outbox: Vec<Transmission<A::Msg>>,
+    /// Per-destination coalescing buffers, reused across routing passes.
+    out_bufs: Vec<TxBatch<A::Msg>>,
+    tracker: Option<WindowTracker>,
+}
+
+impl<A: Application> Cluster<A> {
+    /// Hand `tx` to its local destination LP and requeue that LP; any
+    /// rollback by-products land in the outbox.
+    fn deliver<P: Probe>(&mut self, app: &A, tx: Transmission<A::Msg>, probe: &mut Counted<P>) {
+        let dst = tx.dst();
+        debug_assert_eq!(self.assignment[dst as usize] as usize, self.cid);
+        let lp = self.lps[dst as usize].as_mut().expect("local LP");
+        lp.receive(app, tx, &mut self.outbox, probe);
+        self.ready.push(dst, lp.next_time());
+    }
+}
+
 /// The executive proper, generic over the telemetry probe.
 // detlint: phase(compute)
 pub(crate) fn threaded_core<A: Application, P: Probe>(
@@ -96,9 +126,6 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
     probe: &mut Counted<P>,
     mut dynlb: Option<&mut DynLb>,
 ) -> (Vec<A::State>, Outcome) {
-    assert_eq!(assignment.len(), app.num_lps());
-    assert!(clusters >= 1);
-    assert!(assignment.iter().all(|&c| (c as usize) < clusters));
     let cfg = cfg.normalized();
 
     // With one cluster there is nowhere to migrate to; drop the balancer
@@ -109,6 +136,7 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
     let lb_shared = dynlb.map(|d| LbShared::<A> {
         cfg: d.cfg,
         balancer: Mutex::new(&mut *d.balancer),
+        pinned: pinned_mask(app),
         window: Mutex::new(WindowStats::new(app.num_lps())),
         plan: Mutex::new(Vec::new()),
         movers: (0..clusters).map(|_| Mutex::new(Vec::new())).collect(),
@@ -132,11 +160,15 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
         gvt: AtomicU64::new(0),
     };
 
-    // Build LPs and seed init events through the channels so every cluster
-    // starts with its inbox populated.
+    // Build every LP into its cluster's slots and seed init events through
+    // the channels so every cluster starts with its inbox populated.
     let mut init_events = Vec::new();
-    let lps: Vec<LpRuntime<A>> =
-        (0..app.num_lps() as LpId).map(|i| LpRuntime::new(app, i, cfg, &mut init_events)).collect();
+    let mut slots: Vec<LpSlots<A>> =
+        (0..clusters).map(|_| (0..app.num_lps()).map(|_| None).collect()).collect();
+    for (i, &c) in assignment.iter().enumerate() {
+        let lp = LpRuntime::new(app, i as LpId, cfg, &mut init_events);
+        slots[c as usize][i] = Some(Box::new(lp));
+    }
     let mut init_batches: Vec<TxBatch<A::Msg>> = (0..clusters).map(|_| Vec::new()).collect();
     for ev in init_events {
         let c = assignment[ev.dst as usize] as usize;
@@ -147,11 +179,6 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
             senders[c].send(batch).expect("receiver alive");
         }
     }
-    let mut per_cluster_lps: Vec<Vec<(LpId, LpRuntime<A>)>> =
-        (0..clusters).map(|_| Vec::new()).collect();
-    for (i, lp) in lps.into_iter().enumerate() {
-        per_cluster_lps[assignment[i] as usize].push((i as LpId, lp));
-    }
 
     // detlint: allow(D002, host wall-clock feeds only RunReport/probe telemetry host-time columns and never virtual time)
     let started = std::time::Instant::now();
@@ -159,17 +186,23 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
 
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(clusters);
-        for ((cid, lps), rx) in per_cluster_lps.into_iter().enumerate().zip(receivers) {
+        for ((cid, lps), rx) in slots.into_iter().enumerate().zip(receivers) {
+            let cluster = Cluster {
+                cid,
+                lps,
+                ready: ReadyQueue::default(),
+                assignment: assignment.to_vec(),
+                outbox: Vec::new(),
+                out_bufs: (0..clusters).map(|_| Vec::new()).collect(),
+                tracker: lb_shared.as_ref().map(|_| WindowTracker::new(app.num_lps())),
+            };
             let senders = senders.clone();
             let shared = &shared;
-            let assignment = &assignment;
             let cfg = &cfg;
             let lb = lb_shared.as_ref();
             let child = probe.fork();
             handles.push(scope.spawn(move || {
-                cluster_main(
-                    app, cid, lps, senders, rx, shared, assignment, cfg, lb, child, started,
-                )
+                cluster_main(app, cluster, senders, rx, shared, cfg, lb, child, started)
             }));
         }
         for h in handles {
@@ -178,11 +211,10 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
     });
     let wall = started.elapsed();
 
-    // Merge in cluster-id order — deterministic regardless of which thread
-    // finished first.
-    joined.sort_by_key(|(cid, ..)| *cid);
+    // Merge in cluster-id order (the join order above) — deterministic
+    // regardless of which thread finished first.
     let mut states: Vec<Option<A::State>> = (0..app.num_lps()).map(|_| None).collect();
-    for (_cid, lp_states, child) in joined {
+    for (lp_states, child) in joined {
         for (id, st) in lp_states {
             states[id as usize] = Some(st);
         }
@@ -194,43 +226,34 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
     )
 }
 
-/// Route everything in `outbox`: local → direct insert (cascading
-/// by-products stay in `outbox`), remote → per-destination buffer in
-/// `out_bufs`, flushed as one channel send per destination before
-/// returning (never parked — the GVT flush protocol depends on it).
-/// Returns transmissions routed (messages, not batches).
+/// Route everything in the cluster's outbox: local → direct delivery
+/// (cascading by-products stay in the outbox), remote → per-destination
+/// buffer, flushed as one channel send per destination before returning
+/// (never parked — the GVT flush protocol depends on it). Returns
+/// transmissions routed (messages, not batches).
 // detlint: phase(compute|flush)
-#[allow(clippy::too_many_arguments)]
 fn route<A: Application, P: Probe>(
-    cid: usize,
-    outbox: &mut Vec<Transmission<A::Msg>>,
-    out_bufs: &mut [TxBatch<A::Msg>],
-    table: &mut LpTable<A>,
+    cl: &mut Cluster<A>,
     senders: &[Sender<TxBatch<A::Msg>>],
-    assignment: &[u32],
     app: &A,
     probe: &mut Counted<P>,
-    mut tracker: Option<&mut WindowTracker>,
 ) -> u64 {
     let mut routed = 0;
-    while let Some(tx) = outbox.pop() {
+    while let Some(tx) = cl.outbox.pop() {
         let dst = tx.dst();
-        let dc = assignment[dst as usize] as usize;
-        if dc == cid {
-            let lp = table.get_mut(&dst).expect("local LP");
-            let mut sub = Vec::new();
-            lp.receive(app, tx, &mut sub, probe);
-            outbox.append(&mut sub);
+        let dc = cl.assignment[dst as usize] as usize;
+        if dc == cl.cid {
+            cl.deliver(app, tx, probe);
         } else {
-            if let Some(tr) = tracker.as_deref_mut().filter(|_| tx.is_positive()) {
+            if let Some(tr) = cl.tracker.as_mut().filter(|_| tx.is_positive()) {
                 tr.record_comm(tx.id().src, dst);
             }
             probe.remote_message(tx.is_positive(), tx.recv_time());
             routed += 1;
-            out_bufs[dc].push(tx);
+            cl.out_bufs[dc].push(tx);
         }
     }
-    for (dc, buf) in out_bufs.iter_mut().enumerate() {
+    for (dc, buf) in cl.out_bufs.iter_mut().enumerate() {
         if !buf.is_empty() {
             probe.a.stats.comm_batches += 1;
             senders[dc].send(std::mem::take(buf)).expect("cluster receiver alive");
@@ -239,99 +262,64 @@ fn route<A: Application, P: Probe>(
     routed
 }
 
+/// Deliver every batch waiting in the inbox, routing the by-products of
+/// each. Returns the transmissions routed to other clusters.
+fn drain<A: Application, P: Probe>(
+    cl: &mut Cluster<A>,
+    rx: &Receiver<TxBatch<A::Msg>>,
+    senders: &[Sender<TxBatch<A::Msg>>],
+    app: &A,
+    probe: &mut Counted<P>,
+) -> u64 {
+    let mut routed = 0;
+    while let Ok(batch) = rx.try_recv() {
+        for tx in batch {
+            cl.deliver(app, tx, probe);
+        }
+        routed += route(cl, senders, app, probe);
+    }
+    routed
+}
+
 // detlint: phase(compute|migrate|fossil)
 #[allow(clippy::too_many_arguments)]
 fn cluster_main<A: Application, P: Probe>(
     app: &A,
-    cid: usize,
-    lps: Vec<(LpId, LpRuntime<A>)>,
+    mut cl: Cluster<A>,
     senders: Vec<Sender<TxBatch<A::Msg>>>,
     rx: Receiver<TxBatch<A::Msg>>,
     shared: &GvtShared,
-    assignment: &[u32],
     cfg: &KernelConfig,
     lb: Option<&LbShared<'_, A>>,
     mut probe: Counted<P>,
     started: std::time::Instant,
 ) -> ClusterOutcome<A, P> {
-    let mut outbox: Vec<Transmission<A::Msg>> = Vec::new();
-    // Per-destination coalescing buffers, reused across routing passes.
-    let mut out_bufs: Vec<TxBatch<A::Msg>> = (0..senders.len()).map(|_| Vec::new()).collect();
-
-    // LPs the model forbids migrating (replica LPs). Every cluster
-    // computes the same set, so plan filtering stays identical everywhere.
-    let mut pinned = vec![false; assignment.len()];
-    for lp in app.pinned_lps() {
-        if let Some(slot) = pinned.get_mut(lp as usize) {
-            *slot = true;
-        }
-    }
-
-    // Dynamic load balancing rewrites the routing table at GVT commit;
-    // every cluster keeps its own copy and applies the agreed plan to it
-    // inside the barrier region, so all copies stay identical.
-    let mut assignment: Vec<u32> = assignment.to_vec();
-    let mut tracker = lb.map(|_| WindowTracker::new(assignment.len()));
-
-    let mut table: LpTable<A> = lps.into_iter().collect();
-    let mut local_ids: Vec<LpId> = {
-        let mut v: Vec<LpId> = table.keys().copied().collect();
-        v.sort_unstable();
-        v
-    };
-
     let mut batches_since_gvt = 0u64;
     let mut idle_rounds = 0u32;
 
     loop {
         // 1. Drain the inbox.
-        while let Ok(batch) = rx.try_recv() {
-            for tx in batch {
-                let dst = tx.dst();
-                debug_assert_eq!(assignment[dst as usize] as usize, cid);
-                let lp = table.get_mut(&dst).expect("local LP");
-                lp.receive(app, tx, &mut outbox, &mut probe);
-            }
-            route::<A, P>(
-                cid,
-                &mut outbox,
-                &mut out_bufs,
-                &mut table,
-                &senders,
-                &assignment,
-                app,
-                &mut probe,
-                tracker.as_mut(),
-            );
-        }
+        drain(&mut cl, &rx, &senders, app, &mut probe);
 
-        // 2. GVT round when due locally, when idle, or when any cluster
-        //    requested one.
+        // 2. GVT round when due locally, when idle (no local LP has work),
+        //    or when any cluster requested one.
+        let lps = &cl.lps;
+        let next =
+            cl.ready.peek(|lp, t| lps[lp as usize].as_ref().is_some_and(|l| l.next_time() == t));
         let due = batches_since_gvt >= cfg.gvt_period;
-        let idle = local_ids.iter().all(|id| table[id].next_time().is_inf());
+        let idle = next.is_none();
         if due || idle {
             shared.requested.store(true, Ordering::Release);
         }
         if shared.requested.load(Ordering::Acquire) {
             batches_since_gvt = 0;
-            let gvt = gvt_round::<A, P>(
-                cid,
-                &rx,
-                &senders,
-                &assignment,
-                app,
-                &mut table,
-                &mut outbox,
-                &mut out_bufs,
-                shared,
-                &mut probe,
-                tracker.as_mut(),
-            );
-            let held: u64 = local_ids.iter().map(|id| table[id].state_queue_len() as u64).sum();
-            for id in &local_ids {
-                table.get_mut(id).unwrap().fossil_collect(gvt, &mut probe);
+            let gvt = gvt_round(&mut cl, &rx, &senders, app, shared, &mut probe);
+            let (mut held, mut pending) = (0u64, 0u64);
+            for lp in cl.lps.iter_mut().flatten() {
+                held += lp.state_queue_len() as u64;
+                lp.fossil_collect(gvt, &mut probe);
+                pending += lp.pending_len() as u64;
             }
-            let pending: u64 = local_ids.iter().map(|id| table[id].pending_len() as u64).sum();
             probe.gvt_advanced(gvt, held, pending, started.elapsed().as_nanos() as u64);
 
             // Dynamic load balancing, inside the barrier region where the
@@ -343,7 +331,7 @@ fn cluster_main<A: Application, P: Probe>(
             let mut migrated_in = false;
             if let Some(lbs) = lb {
                 if !gvt.is_inf() && probe.a.stats.gvt_rounds.is_multiple_of(lbs.cfg.period.max(1)) {
-                    let tracker = tracker.as_mut().expect("tracker exists when balancing");
+                    let tracker = cl.tracker.as_mut().expect("tracker exists when balancing");
                     // Phase 1: contribute this cluster's slice of the
                     // window (disjoint LP slots; traffic maps add). The
                     // diff reads this cluster's fold, which is exact: every
@@ -353,7 +341,8 @@ fn cluster_main<A: Application, P: Probe>(
                     {
                         let mut window = lbs.window.lock().unwrap();
                         window.gvt = gvt;
-                        for &id in &local_ids {
+                        for lp in cl.lps.iter().flatten() {
+                            let id = lp.id();
                             window.lps[id as usize] = tracker.diff(id, probe.a.lps[id as usize]);
                         }
                         for (k, v) in tracker.take_comm() {
@@ -365,12 +354,12 @@ fn cluster_main<A: Application, P: Probe>(
                     // cluster's assignment copy would do — they are
                     // identical by construction.
                     probe.a.stats.lb_rounds += 1;
-                    if cid == 0 {
+                    if cl.cid == 0 {
                         let mut window = lbs.window.lock().unwrap();
                         window.round = probe.a.stats.lb_rounds;
                         let plan = lbs.balancer.lock().unwrap().plan(
                             &window,
-                            &assignment,
+                            &cl.assignment,
                             senders.len(),
                             &lbs.cfg,
                         );
@@ -381,25 +370,15 @@ fn cluster_main<A: Application, P: Probe>(
                     // Phase 3: every cluster applies the same plan to its
                     // own routing table; sources hand their LP runtimes to
                     // the destination's movers buffer.
-                    {
-                        let plan = lbs.plan.lock().unwrap();
-                        for mv in plan.iter() {
-                            if !move_is_valid(mv, &assignment, senders.len())
-                                || pinned[mv.lp as usize]
-                            {
-                                continue;
-                            }
-                            assignment[mv.lp as usize] = mv.to;
-                            if mv.from as usize == cid {
-                                let lp = table.remove(&mv.lp).expect("migrating LP is local");
-                                local_ids.retain(|&i| i != mv.lp);
-                                let bytes = lp.pending_len() as u64
-                                    * std::mem::size_of::<Event<A::Msg>>() as u64
-                                    + (lp.state_queue_len() as u64 + 1)
-                                        * std::mem::size_of::<A::State>() as u64;
-                                probe.lp_migrated(mv.lp, mv.from, mv.to, gvt, bytes);
-                                lbs.movers[mv.to as usize].lock().unwrap().push((mv.lp, lp));
-                            }
+                    for mv in lbs.plan.lock().unwrap().iter() {
+                        if !move_is_valid(mv, &cl.assignment, senders.len(), &lbs.pinned) {
+                            continue;
+                        }
+                        cl.assignment[mv.lp as usize] = mv.to;
+                        if mv.from as usize == cl.cid {
+                            let lp = cl.lps[mv.lp as usize].take().expect("migrating LP is local");
+                            probe.lp_migrated(mv.lp, mv.from, mv.to, gvt, lp.closure_bytes());
+                            lbs.movers[mv.to as usize].lock().unwrap().push(lp);
                         }
                     }
                     shared.barrier.wait();
@@ -407,15 +386,12 @@ fn cluster_main<A: Application, P: Probe>(
                     // every deposit happened before the phase-3 barrier,
                     // and any message a fast cluster routes to a migrated
                     // LP just waits in the owner's channel.
-                    {
-                        let mut arrivals = lbs.movers[cid].lock().unwrap();
-                        for (id, lp) in arrivals.drain(..) {
-                            table.insert(id, lp);
-                            local_ids.push(id);
-                            migrated_in = true;
-                        }
+                    for lp in lbs.movers[cl.cid].lock().unwrap().drain(..) {
+                        let id = lp.id();
+                        cl.ready.push(id, lp.next_time());
+                        cl.lps[id as usize] = Some(lp);
+                        migrated_in = true;
                     }
-                    local_ids.sort_unstable();
                 }
             }
 
@@ -436,31 +412,15 @@ fn cluster_main<A: Application, P: Probe>(
         // 3. Execute the lowest-timestamp local batch — within the
         //    optimism window, when one is configured (horizon = the GVT
         //    agreed in the last round + window).
-        let horizon = match cfg.window {
-            Some(w) => VTime(shared.gvt.load(Ordering::Acquire)).after(w),
-            None => VTime::INF,
-        };
-        let best = local_ids
-            .iter()
-            .map(|&id| (table[&id].next_time(), id))
-            .min()
-            .filter(|(t, _)| !t.is_inf());
-        match best {
+        let horizon = cfg.horizon(VTime(shared.gvt.load(Ordering::Acquire)));
+        match next {
             Some((t, id)) if t <= horizon => {
-                let lp = table.get_mut(&id).expect("local LP");
-                lp.execute_next(app, &mut outbox, &mut probe);
+                cl.ready.pop();
+                let lp = cl.lps[id as usize].as_mut().expect("local LP");
+                lp.execute_next(app, &mut cl.outbox, &mut probe);
+                cl.ready.push(id, lp.next_time());
                 batches_since_gvt += 1;
-                route::<A, P>(
-                    cid,
-                    &mut outbox,
-                    &mut out_bufs,
-                    &mut table,
-                    &senders,
-                    &assignment,
-                    app,
-                    &mut probe,
-                    tracker.as_mut(),
-                );
+                route(&mut cl, &senders, app, &mut probe);
             }
             Some(_) => {
                 // Blocked at the window edge: a GVT round advances it.
@@ -470,11 +430,8 @@ fn cluster_main<A: Application, P: Probe>(
         }
     }
 
-    let states: Vec<(LpId, A::State)> = local_ids
-        .into_iter()
-        .map(|id| (id, table.remove(&id).expect("local LP").into_state()))
-        .collect();
-    (cid, states, probe)
+    let states = cl.lps.into_iter().flatten().map(|lp| (lp.id(), lp.into_state())).collect();
+    (states, probe)
 }
 
 /// One synchronized GVT round. All clusters call this together (guaranteed
@@ -486,46 +443,22 @@ fn cluster_main<A: Application, P: Probe>(
 ///    anywhere — at that point no message is in flight;
 /// 3. publish local minima, barrier, read the global minimum.
 // detlint: phase(flush|gvt)
-#[allow(clippy::too_many_arguments)]
 fn gvt_round<A: Application, P: Probe>(
-    cid: usize,
+    cl: &mut Cluster<A>,
     rx: &Receiver<TxBatch<A::Msg>>,
     senders: &[Sender<TxBatch<A::Msg>>],
-    assignment: &[u32],
     app: &A,
-    table: &mut LpTable<A>,
-    outbox: &mut Vec<Transmission<A::Msg>>,
-    out_bufs: &mut [TxBatch<A::Msg>],
     shared: &GvtShared,
     probe: &mut Counted<P>,
-    mut tracker: Option<&mut WindowTracker>,
 ) -> VTime {
     shared.barrier.wait();
     loop {
-        let mut routed = 0u64;
-        while let Ok(batch) = rx.try_recv() {
-            for tx in batch {
-                let dst = tx.dst();
-                let lp = table.get_mut(&dst).expect("local LP");
-                lp.receive(app, tx, outbox, probe);
-            }
-            routed += route::<A, P>(
-                cid,
-                outbox,
-                out_bufs,
-                table,
-                senders,
-                assignment,
-                app,
-                probe,
-                tracker.as_deref_mut(),
-            );
-        }
+        let routed = drain(cl, rx, senders, app, probe);
         shared.routed_this_round.fetch_add(routed, Ordering::AcqRel);
         shared.barrier.wait();
         let total = shared.routed_this_round.load(Ordering::Acquire);
         shared.barrier.wait(); // everyone has read `total`
-        if cid == 0 {
+        if cl.cid == 0 {
             shared.routed_this_round.store(0, Ordering::Release);
         }
         shared.barrier.wait(); // reset visible before the next round
@@ -535,10 +468,10 @@ fn gvt_round<A: Application, P: Probe>(
     }
 
     // Publish local minimum.
-    let local_min = table.values().map(|lp| lp.local_min()).min().unwrap_or(VTime::INF);
-    shared.local_mins[cid].store(local_min.0, Ordering::Release);
+    let local_min = cl.lps.iter().flatten().map(|lp| lp.local_min()).min().unwrap_or(VTime::INF);
+    shared.local_mins[cl.cid].store(local_min.0, Ordering::Release);
     shared.barrier.wait();
-    if cid == 0 {
+    if cl.cid == 0 {
         let gvt =
             shared.local_mins.iter().map(|m| m.load(Ordering::Acquire)).min().unwrap_or(u64::MAX);
         shared.gvt.store(gvt, Ordering::Release);
@@ -610,6 +543,37 @@ mod tests {
         let res = threaded(&app, &round_robin(8, 1), 1, &KernelConfig::default());
         assert_eq!(res.states, seq.states);
         assert_eq!(res.stats.events_committed, seq.stats.events_processed);
+    }
+
+    #[test]
+    fn single_cluster_never_rolls_back() {
+        /// Records every executed batch as `(time, lp, events)`, in
+        /// execution order.
+        #[derive(Default)]
+        struct Order(std::sync::Arc<Mutex<Vec<(VTime, LpId, u64)>>>);
+        impl Probe for Order {
+            fn batch_executed(&mut self, lp: LpId, now: VTime, events: u64) {
+                self.0.lock().unwrap().push((now, lp, events));
+            }
+            fn fork(&mut self) -> Order {
+                Order(self.0.clone())
+            }
+            fn join(&mut self, _child: Order) {}
+        }
+        let app = Ring { n: 12, hops: 40 };
+        let order = Order::default();
+        let seen = order.0.clone();
+        let res = Simulator::new(&app)
+            .probe(order)
+            .run(Backend::Threaded { assignment: &round_robin(12, 1), clusters: 1 })
+            .unwrap();
+        assert_eq!(res.stats.rollbacks(), 0);
+        assert_eq!(res.stats.app_messages, 0, "no remote messages on one cluster");
+        // Every hop has delay >= 1, so no batch can appear at a time already
+        // reached: the pops must be strictly increasing in `(time, id)`.
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.iter().map(|b| b.2).sum::<u64>(), res.stats.events_processed);
+        assert!(seen.windows(2).all(|w| w[0] < w[1]), "ready queue popped out of order");
     }
 
     #[test]
